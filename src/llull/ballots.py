@@ -30,6 +30,7 @@ from .errors import (
     EmptySubsetError,
     NotAutonomousError,
     UnknownOptionError,
+    WeightOverflowError,
 )
 from .matrix import LlullMatrix
 from .options import OptionSet
@@ -193,9 +194,12 @@ def aggregate(ballots: BallotSet, ties: TiePolicy = TiePolicy.HALF) -> LlullMatr
     A ballot scores a full preference for x over y when it ranks x
     strictly above y or ranks x while leaving y unranked.  Explicit
     ties score half for each side under TiePolicy.HALF and nothing
-    under TiePolicy.ABSTAIN.  Counting is exact: integer units of
-    1/(2V) are accumulated and divided out once at the end.
+    under TiePolicy.ABSTAIN.  Counting is exact: int64 units of 1/(2V),
+    at most 2V per entry (larger V is refused), divided out at the end.
     """
+    voters = ballots.voters
+    if 2 * voters > np.iinfo(np.int64).max:
+        raise WeightOverflowError(f"{voters} voters overflow the exact int64 count")
     n = ballots.option_set.n
     units = np.zeros((n, n), dtype=np.int64)
     for ballot in ballots.ballots:
@@ -208,7 +212,7 @@ def aggregate(ballots: BallotSet, ties: TiePolicy = TiePolicy.HALF) -> LlullMatr
             tied = np.isfinite(r)[:, None] & (r[:, None] == r[None, :])
             np.fill_diagonal(tied, False)
             units += ballot.weight * tied
-    return LlullMatrix(ballots.option_set, units / (2 * ballots.voters))
+    return LlullMatrix(ballots.option_set, units / (2 * voters))
 
 
 def _relation(ranks: dict[str, int], z: str, c: str) -> str:

@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -365,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None, help="solver tolerance")
         p.add_argument("--max-iter", type=int, default=100000)
         p.add_argument("--ties", choices=("half", "abstain"), default="half")
-        p.add_argument("--jobs", type=int, default=1, help="parallel input files")
         if name == "selfcheck":
             p.add_argument("--seed", type=int, default=0, help="perturbation probe seed")
     return parser
@@ -384,13 +382,9 @@ def main(argv=None) -> int:
         sys.stderr.write("error: --tol must be positive and --max-iter at least 1\n")
         return 2
     paths = args.inputs
-    if args.jobs > 1 and len(paths) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda p: _run_one(args, p), paths))
-    else:
-        results = [_run_one(args, p) for p in paths]
     code = 0
-    for path, (status, text) in zip(paths, results):
+    for path in paths:
+        status, text = _run_one(args, path)
         stream = sys.stdout if status in (0, 1) else sys.stderr
         if len(paths) > 1:
             stream.write(f"== {path} ==\n")

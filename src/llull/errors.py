@@ -34,6 +34,10 @@ class EmptyProfileError(ParseError):
     """Ballot document contains no ballots."""
 
 
+class WeightOverflowError(ParseError):
+    """Ballot weights too large to count exactly in int64 units."""
+
+
 class MatrixFormatError(ParseError):
     """Matrix document does not match the JSON or CSV schema."""
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalError, ProjectionPostconditionViolatedError
+from .errors import ProjectionPostconditionViolatedError
 from .matrix import LlullMatrix, mean_preference_scores
 from .structure import (
     STRUCT_TOL,
@@ -33,6 +33,7 @@ from .structure import (
     check_clc,
     components,
     indirect_scores,
+    topological_order,
 )
 
 FIXED_POINT_TOL = 1e-12
@@ -53,26 +54,6 @@ class ProjectionChecks:
     issues: tuple[str, ...]
 
 
-def _dominance_order(sigma: np.ndarray, rho: np.ndarray) -> list[int]:
-    """Topological selection on the strict dominance of indirect scores.
-
-    Dominance of widest-path values is transitive, so an unbeaten
-    candidate always exists; hitting none signals a broken closure.
-    """
-    n = len(rho)
-    beats = sigma > sigma.T
-    remaining = list(range(n))
-    order: list[int] = []
-    while remaining:
-        unbeaten = [i for i in remaining if not any(beats[j, i] for j in remaining)]
-        if not unbeaten:
-            raise InternalError("indirect-score dominance is not acyclic")
-        pick = min(unbeaten, key=lambda i: (-rho[i], i))
-        order.append(pick)
-        remaining.remove(pick)
-    return order
-
-
 def _chain_generate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full matrix from consecutive pair scores, by running max/min.
 
@@ -82,15 +63,8 @@ def _chain_generate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = len(a) + 1
     out = np.zeros((n, n))
     for i in range(n - 1):
-        hi = a[i]
-        lo = b[i]
-        out[i, i + 1] = hi
-        out[i + 1, i] = lo
-        for j in range(i + 2, n):
-            hi = max(hi, a[j - 1])
-            lo = min(lo, b[j - 1])
-            out[i, j] = hi
-            out[j, i] = lo
+        out[i, i + 1 :] = np.maximum.accumulate(a[i:])
+        out[i + 1 :, i] = np.minimum.accumulate(b[i:])
     return out
 
 
@@ -100,18 +74,15 @@ def clc_project(M: LlullMatrix, tol: float = STRUCT_TOL) -> ProjectionResult:
         return ProjectionResult(M, AdmissibleOrder(M.labels), True)
     sigma = indirect_scores(M).sigma
     rho = M.scores.sum(axis=1) / (n - 1)
-    perm = _dominance_order(sigma, rho)
+    # Widest-path dominance is transitive; ties go by mean score, then index.
+    perm = topological_order(sigma > sigma.T, -rho)
     D = sigma[np.ix_(perm, perm)]
     D = D - D.T
     margins = np.empty(n - 1)
     for k in range(n - 1):
         margins[k] = max(0.0, float(D[: k + 1, k + 1 :].min()))
-    raw = np.array(
-        [
-            M.scores[perm[k], perm[k + 1]] + M.scores[perm[k + 1], perm[k]]
-            for k in range(n - 1)
-        ]
-    )
+    ordered = M.scores[np.ix_(perm, perm)]
+    raw = np.diagonal(ordered, 1) + np.diagonal(ordered, -1)
     suffix = np.maximum.accumulate(margins[::-1])[::-1]
     turnouts = np.minimum(1.0, np.maximum(raw, suffix))
     # One C1 pass (right to left) then one C2 pass (left to right)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    InternalError,
     NotAPermutationError,
     NotCLCError,
     TieGroupTooLargeError,
@@ -119,6 +120,27 @@ def indirect_scores(M: LlullMatrix) -> IndirectScores:
     return IndirectScores(M.option_set, sigma)
 
 
+def topological_order(beats: np.ndarray, priority: np.ndarray) -> list[int]:
+    """Repeatedly pick the unbeaten remaining item of lowest priority.
+
+    beats[a, b] says a comes before b; equal priorities go to the lower
+    index.  Remaining beaters are counted, so this takes O(n) numpy steps.
+    """
+    n = len(priority)
+    beaters = beats.sum(axis=0)
+    done = np.zeros(n, dtype=bool)
+    order: list[int] = []
+    for _ in range(n):
+        ready = np.flatnonzero((beaters == 0) & ~done)
+        if not ready.size:
+            raise InternalError("dominance relation is not acyclic")
+        pick = int(ready[np.argmin(priority[ready])])
+        order.append(pick)
+        done[pick] = True
+        beaters -= beats[pick]
+    return order
+
+
 def components(M: LlullMatrix) -> StructureReport:
     """Mutual-reachability components and the dominance order between them.
 
@@ -141,26 +163,15 @@ def components(M: LlullMatrix) -> StructureReport:
             raw.append(list(members))
     k = len(raw)
     reps = [c[0] for c in raw]
-    dominates = np.zeros((k, k), dtype=bool)
-    for a in range(k):
-        for b in range(k):
-            if a != b and reach[reps[a], reps[b]] and not reach[reps[b], reps[a]]:
-                dominates[a, b] = True
-    # Topological order over components: pick the undominated one with the
-    # smallest member index, repeatedly.
-    remaining = list(range(k))
-    topo: list[int] = []
-    while remaining:
-        ready = [c for c in remaining if not any(dominates[d, c] for d in remaining)]
-        pick = min(ready, key=lambda c: raw[c][0])
-        topo.append(pick)
-        remaining.remove(pick)
-    position = {old: new for new, old in enumerate(topo)}
+    between = reach[reps][:, reps]
+    dominates = between & ~between.T
+    # Components are numbered by smallest member, so index breaks ties.
+    topo = topological_order(dominates, np.zeros(k))
+    position = np.argsort(topo)
     comps = tuple(tuple(labels[i] for i in raw[old]) for old in topo)
-    edges = tuple(
-        sorted((position[a], position[b]) for a in range(k) for b in range(k) if dominates[a, b])
-    )
-    top = 0 if k >= 1 and all(dominates[topo[0], b] for b in topo[1:]) else None
+    a, b = np.nonzero(dominates)
+    edges = tuple(sorted(zip(position[a].tolist(), position[b].tolist())))
+    top = 0 if k >= 1 and dominates[topo[0], topo[1:]].all() else None
     return StructureReport(
         option_set=M.option_set,
         components=comps,
@@ -186,47 +197,56 @@ def check_clc(M: LlullMatrix, order, tol: float = STRUCT_TOL, max_witnesses: int
     turnout_step  0 <= t_xz - t_x'z <= m_xx' for consecutive x, x'
     monotone      row/column/turnout monotonicity along the order,
                   implied by the others; kept as a redundant guard
+
+    Conditions are boolean masks, at most one per first index: O(n)
+    Python steps and O(n^2) memory.  Witnesses are the first
+    max_witnesses hits per condition, by first index, then the later
+    ones (the chain conditions count the middle index as first).
     """
     labels = _as_permutation(M, order)
     perm = M.option_set.indices(labels)
-    P = M.scores[np.ix_(perm, perm)]
+    P = M.scores[perm][:, perm]
     T = P + P.T
     n = M.n
+    idx = np.arange(n)
     witnesses: dict[str, list[ClcWitness]] = {c: [] for c in CLC_CONDITIONS}
     failed = {c: False for c in CLC_CONDITIONS}
 
-    def note(condition: str, where: tuple[int, ...], value: float) -> None:
+    def note(condition: str, hits: np.ndarray, witness) -> None:
+        """Record a mask of hits; witness(r, c) gives (indices, value) of one."""
+        if not hits.any():
+            return
         failed[condition] = True
-        if len(witnesses[condition]) < max_witnesses:
-            witnesses[condition].append(
-                ClcWitness(condition, tuple(labels[i] for i in where), float(value))
-            )
+        found = witnesses[condition]
+        room = max_witnesses - len(found)
+        if room > 0:
+            rows, cols = np.nonzero(hits)
+            for r, c in zip(rows[:room].tolist(), cols[:room].tolist()):
+                where, value = witness(r, c)
+                found.append(ClcWitness(condition, tuple(labels[i] for i in where), float(value)))
 
-    iu, ju = np.triu_indices(n, 1)
-    for i, j in zip(iu, ju):
-        if P[i, j] < P[j, i] - tol:
-            note("pairwise", (i, j), P[i, j] - P[j, i])
+    below, above, T_below = P - tol, P + tol, T - tol
+    pairwise = (P < below.T) & (idx[:, None] < idx)
+    note("pairwise", pairwise, lambda i, j: ((i, j), P[i, j] - P[j, i]))
     for j in range(1, n - 1):
         up = np.abs(P[:j, j + 1 :] - np.maximum(P[:j, j, None], P[None, j, j + 1 :]))
-        for a, b in zip(*np.nonzero(up > tol)):
-            note("upper_chain", (a, j, j + 1 + b), up[a, b])
+        note("upper_chain", up > tol, lambda a, b: ((a, j, j + 1 + b), up[a, b]))
         lo = np.abs(P[j + 1 :, :j] - np.minimum(P[j + 1 :, j, None], P[None, j, :j]))
-        for a, b in zip(*np.nonzero(lo > tol)):
-            note("lower_chain", (b, j, j + 1 + a), lo[a, b])
-    for k in range(n - 1):
-        step = T[k] - T[k + 1]
-        margin = P[k, k + 1] - P[k + 1, k]
-        for z in range(n):
-            if z in (k, k + 1):
-                continue
-            if step[z] < -tol or step[z] > margin + tol:
-                note("turnout_step", (k, k + 1, z), step[z])
-    for i, j in zip(iu, ju):
-        for z in range(n):
-            if z in (i, j):
-                continue
-            if P[i, z] < P[j, z] - tol or P[z, i] > P[z, j] + tol or T[i, z] < T[j, z] - tol:
-                note("monotone", (i, j, z), P[i, z] - P[j, z])
+        note("lower_chain", lo > tol, lambda a, b: ((b, j, j + 1 + a), lo[a, b]))
+    # Row k: consecutive pair (k, k+1) against every third option z.
+    step = T[:-1] - T[1:]
+    margin = np.diagonal(P, 1) - np.diagonal(P, -1)
+    bad = (step < -tol) | (step > margin[:, None] + tol)
+    bad[idx[:-1], idx[:-1]] = bad[idx[:-1], idx[1:]] = False
+    note("turnout_step", bad, lambda k, z: ((k, k + 1, z), step[k, z]))
+    # Per first index i: row a is j = i+1+a, column z; drop z == i and z == j.
+    distinct = idx[:, None] != idx
+    for i in range(n - 1):
+        bad = (P[i] < below[i + 1 :]) | (P[:, i] > above[:, i + 1 :].T)
+        bad |= T[i] < T_below[i + 1 :]
+        bad &= distinct[i + 1 :]
+        bad[:, i] = False
+        note("monotone", bad, lambda a, z: ((i, i + 1 + a, z), P[i, z] - P[i + 1 + a, z]))
     ok = not any(failed.values())
     flat = tuple(w for c in CLC_CONDITIONS for w in witnesses[c])
     return ClcVerdict(ok, labels, {c: not failed[c] for c in CLC_CONDITIONS}, flat, tol)

@@ -2,7 +2,8 @@
 
 The oracles deliberately use different algorithms than the library:
 widest paths by exhaustive path enumeration, components by BFS
-reachability, gradients by central differences.
+reachability, gradients by central differences, and the CLC check,
+dominance order and chain generation by explicit scalar loops.
 """
 
 from __future__ import annotations
@@ -12,7 +13,17 @@ import string
 
 import numpy as np
 
-from llull import Ballot, BallotSet, LlullMatrix, OptionSet, aggregate, indirect_scores
+from llull import (
+    CLC_CONDITIONS,
+    Ballot,
+    BallotSet,
+    ClcVerdict,
+    ClcWitness,
+    LlullMatrix,
+    OptionSet,
+    aggregate,
+    indirect_scores,
+)
 
 
 def letters(n: int) -> tuple[str, ...]:
@@ -32,6 +43,14 @@ def random_matrix(rng, n, *, t_lo=0.0, t_hi=1.0, u_lo=0.0, u_hi=1.0, zero_prob=0
             if zero_prob and rng.random() < zero_prob:
                 b = 0.0
             scores[i, j], scores[j, i] = a, b
+    return LlullMatrix(OptionSet(letters(n)), scores)
+
+
+def tied_matrix(rng, n):
+    """Random valid matrix on a coarse dyadic grid, so scores and sums tie."""
+    t = rng.integers(0, 3, size=(n, n)) / 2.0
+    u = rng.integers(0, 5, size=(n, n)) / 4.0
+    scores = np.triu(t * u, 1) + np.triu(t * (1.0 - u), 1).T
     return LlullMatrix(OptionSet(letters(n)), scores)
 
 
@@ -313,3 +332,81 @@ def chain_matrix(rng, n):
             scores[i, j] = a[i:j].max()
             scores[j, i] = b[i:j].min()
     return LlullMatrix(OptionSet(letters(n)), scores)
+
+
+def oracle_check_clc(M, order, tol=1e-9, max_witnesses=5):
+    """The CLC check as explicit loops over pairs and triples."""
+    labels = tuple(order)
+    perm = M.option_set.indices(labels)
+    P = M.scores[np.ix_(perm, perm)]
+    T = P + P.T
+    n = M.n
+    witnesses = {c: [] for c in CLC_CONDITIONS}
+    failed = {c: False for c in CLC_CONDITIONS}
+
+    def note(condition, where, value):
+        failed[condition] = True
+        if len(witnesses[condition]) < max_witnesses:
+            witnesses[condition].append(
+                ClcWitness(condition, tuple(labels[i] for i in where), float(value))
+            )
+
+    iu, ju = np.triu_indices(n, 1)
+    for i, j in zip(iu, ju):
+        if P[i, j] < P[j, i] - tol:
+            note("pairwise", (i, j), P[i, j] - P[j, i])
+    for j in range(1, n - 1):
+        up = np.abs(P[:j, j + 1 :] - np.maximum(P[:j, j, None], P[None, j, j + 1 :]))
+        for a, b in zip(*np.nonzero(up > tol)):
+            note("upper_chain", (a, j, j + 1 + b), up[a, b])
+        lo = np.abs(P[j + 1 :, :j] - np.minimum(P[j + 1 :, j, None], P[None, j, :j]))
+        for a, b in zip(*np.nonzero(lo > tol)):
+            note("lower_chain", (b, j, j + 1 + a), lo[a, b])
+    for k in range(n - 1):
+        step = T[k] - T[k + 1]
+        margin = P[k, k + 1] - P[k + 1, k]
+        for z in range(n):
+            if z in (k, k + 1):
+                continue
+            if step[z] < -tol or step[z] > margin + tol:
+                note("turnout_step", (k, k + 1, z), step[z])
+    for i, j in zip(iu, ju):
+        for z in range(n):
+            if z in (i, j):
+                continue
+            if P[i, z] < P[j, z] - tol or P[z, i] > P[z, j] + tol or T[i, z] < T[j, z] - tol:
+                note("monotone", (i, j, z), P[i, z] - P[j, z])
+    ok = not any(failed.values())
+    flat = tuple(w for c in CLC_CONDITIONS for w in witnesses[c])
+    return ClcVerdict(ok, labels, {c: not failed[c] for c in CLC_CONDITIONS}, flat, tol)
+
+
+def oracle_dominance_order(sigma, rho):
+    """Topological selection by rescanning every remaining pair each step."""
+    n = len(rho)
+    beats = sigma > sigma.T
+    remaining = list(range(n))
+    order = []
+    while remaining:
+        unbeaten = [i for i in remaining if not any(beats[j, i] for j in remaining)]
+        pick = min(unbeaten, key=lambda i: (-rho[i], i))
+        order.append(pick)
+        remaining.remove(pick)
+    return order
+
+
+def oracle_chain_generate(a, b):
+    """Chain matrix by scalar running max/min over each row."""
+    n = len(a) + 1
+    out = np.zeros((n, n))
+    for i in range(n - 1):
+        hi = a[i]
+        lo = b[i]
+        out[i, i + 1] = hi
+        out[i + 1, i] = lo
+        for j in range(i + 2, n):
+            hi = max(hi, a[j - 1])
+            lo = min(lo, b[j - 1])
+            out[i, j] = hi
+            out[j, i] = lo
+    return out

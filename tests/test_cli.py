@@ -71,6 +71,23 @@ class TestInputHandling:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "9223372036854775808: a > b > c\n1: b > a\n",
+            "2305843009213693952: a > b > c\n" * 4,
+        ],
+        ids=["single-weight-past-int64", "weight-sum-wraps-int64"],
+    )
+    def test_weights_past_int64_exit_two(self, tmp_path, capsys, body):
+        path = tmp_path / "huge.ballots"
+        path.write_text("options: a b c\n" + body, encoding="utf-8")
+        assert main(["tally", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
 
 class TestSubcommands:
     def test_tally_text_and_csv(self, ballot_file, capsys):
@@ -157,7 +174,7 @@ class TestOptionsAndEnvironment:
         assert main(["tally", "--in", ballot_file, "--tol", "-1"]) == 2
 
     def test_multiple_inputs_keep_order(self, ballot_file, json_file, capsys):
-        code = main(["analyze", "--in", ballot_file, "--in", json_file, "--jobs", "2"])
+        code = main(["analyze", "--in", ballot_file, "--in", json_file])
         assert code == 0
         out = capsys.readouterr().out
         assert out.index(f"== {ballot_file} ==") < out.index(f"== {json_file} ==")

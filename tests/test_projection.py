@@ -10,9 +10,19 @@ from llull import (
     ProjectionResult,
     check_clc,
     clc_project,
+    indirect_scores,
     verify_projection,
 )
-from conftest import chain_matrix, letters, mixed_corpus
+from conftest import (
+    chain_matrix,
+    letters,
+    mixed_corpus,
+    oracle_chain_generate,
+    oracle_dominance_order,
+    tied_matrix,
+)
+from llull.projection import _chain_generate
+from llull.structure import topological_order
 
 
 def single_choice_matrix(fractions):
@@ -103,6 +113,37 @@ class TestConstruction:
         again = clc_project(R.matrix)
         assert again.fixed_point
         assert np.abs(again.matrix.scores - R.matrix.scores).max() <= 1e-12
+
+
+class TestInternalsOracle:
+    """Vectorised projection steps against their scalar-loop oracles."""
+
+    @given(seed=st.integers(0, 10**6), n=st.integers(2, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_dominance_order_matches_rescan(self, seed, n):
+        rng = np.random.default_rng(seed)
+        M = tied_matrix(rng, n)
+        sigma = indirect_scores(M).sigma
+        rho = M.scores.sum(axis=1) / (n - 1)
+        got = topological_order(sigma > sigma.T, -rho)
+        assert got == oracle_dominance_order(sigma, rho)
+
+    def test_dominance_order_breaks_full_ties_by_index(self):
+        M = LlullMatrix(OptionSet(letters(5)), np.full((5, 5), 0.5) - 0.5 * np.eye(5))
+        sigma = indirect_scores(M).sigma
+        rho = M.scores.sum(axis=1) / 4
+        assert topological_order(sigma > sigma.T, -rho) == [0, 1, 2, 3, 4]
+        assert oracle_dominance_order(sigma, rho) == [0, 1, 2, 3, 4]
+
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 12), coarse=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_chain_generate_matches_scalar_loop(self, seed, n, coarse):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(0.0, 1.0, size=n - 1)
+        b = rng.uniform(0.0, 1.0, size=n - 1)
+        if coarse:
+            a, b = np.round(a * 2) / 2, np.round(b * 2) / 2
+        assert np.array_equal(_chain_generate(a, b), oracle_chain_generate(a, b))
 
 
 class TestVerifyProjection:

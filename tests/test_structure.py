@@ -9,8 +9,10 @@ from llull import (
     NotCLCError,
     OptionSet,
     TieGroupTooLargeError,
+    aggregate,
     analyze_structure,
     check_clc,
+    clc_project,
     components,
     find_admissible_order,
     indirect_scores,
@@ -18,9 +20,12 @@ from llull import (
 )
 from conftest import (
     letters,
+    oracle_check_clc,
     oracle_component_structure,
     oracle_widest_paths,
     random_matrix,
+    random_profile,
+    tied_matrix,
 )
 
 
@@ -128,6 +133,46 @@ class TestCheckClc:
         M = single_choice_matrix([0.5, 0.3, 0.2])
         with pytest.raises(NotAPermutationError):
             check_clc(M, ("a", "b"))
+
+
+class TestCheckClcOracle:
+    """The mask-based check against the loop oracle, witnesses included."""
+
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 12), style=st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_verdict_matches_loop_oracle(self, seed, n, style):
+        rng = np.random.default_rng(seed)
+        if style == 0:
+            M = random_matrix(rng, n, zero_prob=0.2)
+        elif style == 1:
+            M = tied_matrix(rng, n)
+        else:
+            M = aggregate(random_profile(rng, n))
+        R = clc_project(M)
+        shuffled = tuple(M.labels[i] for i in rng.permutation(n))
+        for X in (M, R.matrix):
+            for order in (M.labels, R.order.labels, shuffled):
+                for cap in (1, 5, 10**6):
+                    got = check_clc(X, order, max_witnesses=cap)
+                    assert got == oracle_check_clc(X, order, max_witnesses=cap)
+
+    def test_every_condition_reports_capped_witnesses(self):
+        rng = np.random.default_rng(11)
+        M = random_matrix(rng, 9)
+        order = tuple(M.labels[i] for i in rng.permutation(9))
+        full = check_clc(M, order, max_witnesses=10**6)
+        assert full == oracle_check_clc(M, order, max_witnesses=10**6)
+        for cap in (1, 5):
+            capped = check_clc(M, order, max_witnesses=cap)
+            assert capped == oracle_check_clc(M, order, max_witnesses=cap)
+            assert capped.conditions == full.conditions
+        default = check_clc(M, order)
+        for condition, passed in full.conditions.items():
+            assert not passed
+            found = [w for w in full.witnesses if w.condition == condition]
+            assert len(found) > 5
+            kept = [w for w in default.witnesses if w.condition == condition]
+            assert kept == found[:5]
 
 
 class TestFindAdmissibleOrder:
