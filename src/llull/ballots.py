@@ -17,8 +17,10 @@ not compared by that ballot.
 
 from __future__ import annotations
 
+import array
 import enum
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +38,11 @@ from .matrix import LlullMatrix
 from .options import OptionSet
 
 RESERVED_CHARS = ">=:,#"
+# aggregate counts in int64 units of half a vote, so 2 * voters must fit.
+MAX_VOTERS = np.iinfo(np.int64).max // 2
+_MAX_WEIGHT_DIGITS = len(str(MAX_VOTERS))  # a longer weight is past MAX_VOTERS
+_OVERFLOW_MESSAGE = "weights sum past (2^63 - 1) / 2 voters, more than int64 counts exactly"
+_CHUNK_UNITS = 2**19  # int64 products per aggregate step: 4 MB
 
 
 class TiePolicy(enum.Enum):
@@ -68,25 +75,84 @@ class Ballot:
         return {x: k for k, tier in enumerate(self.tiers) for x in tier}
 
 
-@dataclass(frozen=True)
 class BallotSet:
-    """A profile: the option universe plus all ballots cast."""
+    """A profile: the option universe plus all ballots cast, stored as columns.
 
-    option_set: OptionSet
-    ballots: tuple[Ballot, ...]
+    ranks[b, i] is the tier of option i on ballot b (0 = most preferred),
+    or n when ballot b leaves i unranked; its dtype is the smallest
+    unsigned integer type that holds n.  weights[b] is the multiplicity
+    of ballot b as int64, and voters is their exact sum.  Both arrays
+    are read-only.  Building a BallotSet from Ballot objects converts
+    them once; `ballots` rebuilds them on access, with the labels of a
+    tier in declaration order.
+    """
 
-    def __post_init__(self):
-        if not self.ballots:
+    __slots__ = ("option_set", "ranks", "weights", "voters")
+
+    def __init__(self, option_set: OptionSet, ballots: Iterable[Ballot]):
+        ballots = tuple(ballots)
+        if not ballots:
             raise EmptyProfileError("profile contains no ballots")
-        for ballot in self.ballots:
-            for tier in ballot.tiers:
-                for label in tier:
-                    if label not in self.option_set:
-                        raise UnknownOptionError(label)
+        rows = [_tier_row(ballot, option_set) for ballot in ballots]
+        ranks = np.array(rows, dtype=np.min_scalar_type(option_set.n))
+        weights = [ballot.weight for ballot in ballots]
+        voters = sum(weights)
+        if voters > MAX_VOTERS:
+            raise WeightOverflowError(_OVERFLOW_MESSAGE)
+        self._assign(option_set, ranks, np.array(weights, dtype=np.int64), voters)
+
+    @classmethod
+    def _from_columns(cls, option_set, ranks, weights, voters) -> BallotSet:
+        profile = cls.__new__(cls)
+        profile._assign(option_set, ranks, weights, voters)
+        return profile
+
+    def _assign(self, option_set, ranks, weights, voters) -> None:
+        ranks.flags.writeable = False
+        weights.flags.writeable = False
+        self.option_set = option_set
+        self.ranks = ranks
+        self.weights = weights
+        self.voters = voters
 
     @property
-    def voters(self) -> int:
-        return sum(ballot.weight for ballot in self.ballots)
+    def ballots(self) -> Sequence[Ballot]:
+        """The ballots as Ballot objects, built on access; len() builds none."""
+        return _BallotView(self)
+
+
+def _tier_row(ballot: Ballot, option_set: OptionSet) -> list[int]:
+    """The ballot's tier per option of option_set, n where it is unranked."""
+    row = [option_set.n] * option_set.n
+    for tier_index, tier in enumerate(ballot.tiers):
+        for i in option_set.indices(tier):
+            row[i] = tier_index
+    return row
+
+
+class _BallotView(Sequence):
+    """Read-only Ballot objects of a profile, each rebuilt from its row on access."""
+
+    __slots__ = ("_profile",)
+
+    def __init__(self, profile: BallotSet):
+        self._profile = profile
+
+    def __len__(self) -> int:
+        return len(self._profile.weights)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[b] for b in range(*index.indices(len(self))))
+        profile = self._profile
+        n = profile.option_set.n
+        tiers: dict[int, list[str]] = {}
+        for label, rank in zip(profile.option_set.labels, profile.ranks[index].tolist()):
+            if rank < n:
+                tiers.setdefault(rank, []).append(label)
+        return Ballot(
+            tuple(tuple(tiers[rank]) for rank in sorted(tiers)), int(profile.weights[index])
+        )
 
 
 def _segments(text: str, base: int, sep: str):
@@ -138,14 +204,23 @@ def _parse_header(line: str, lineno: int) -> OptionSet:
     return OptionSet(tuple(labels))
 
 
+def _is_weight(head: str) -> bool:
+    """ASCII digits only: str.isdigit also accepts '²', which int() refuses, and '١'."""
+    return head.isascii() and head.isdigit()
+
+
 def _parse_ballot_line(line: str, lineno: int, option_set: OptionSet) -> Ballot:
+    """One ballot line, with the column of the first error; the careful path."""
     indent = len(line) - len(line.lstrip())
     colon = line.find(":")
     if colon < 0:
         raise BallotSyntaxError("expected 'WEIGHT:' before the ranking", lineno, indent + 1)
     head = line[:colon].strip()
-    if not head.isdigit() or int(head) < 1:
+    if not _is_weight(head) or not head.strip("0"):
         raise BallotSyntaxError("weight must be a positive integer", lineno, indent + 1)
+    if len(head.lstrip("0")) > _MAX_WEIGHT_DIGITS:
+        # Past any int64 count, and int() refuses very long digit strings.
+        raise WeightOverflowError(_OVERFLOW_MESSAGE, lineno)
     tiers: list[tuple[str, ...]] = []
     seen: set[str] = set()
     for tier_text, tier_start in _segments(line[colon + 1 :], colon + 1, ">"):
@@ -170,22 +245,71 @@ def _parse_ballot_line(line: str, lineno: int, option_set: OptionSet) -> Ballot:
     return Ballot(tuple(tiers), int(head))
 
 
+def _scan_ranking(body: str, index: dict[str, int], row: list[int]) -> bool:
+    """Write each label's tier into row (n = unranked); False where the careful path must decide.
+
+    Header labels are non-empty and hold no whitespace or reserved
+    character, so a stripped token found in index is a valid label, and
+    a row entry already set means the label is ranked twice.
+    """
+    unranked = len(row)
+    for tier_index, tier in enumerate(body.split(">")):
+        for token in tier.split("="):
+            i = index.get(token.strip())
+            if i is None or row[i] != unranked:
+                return False
+            row[i] = tier_index
+    return True
+
+
 def parse_ballots(text: str) -> BallotSet:
-    """Parse a ballot document; errors carry the offending line and column."""
+    """Parse a ballot document; errors carry the offending line and column.
+
+    Lines break at '\\n', '\\r\\n' and '\\r' only.  One pass scans each
+    ballot line into a row of tier ranks; a line the scan does not
+    accept is walked again by the column-tracking parser, which raises
+    its error.  The weights are summed exactly as they are read, and a
+    sum past MAX_VOTERS raises WeightOverflowError at that line.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = enumerate(text.split("\n"), start=1)
     option_set: OptionSet | None = None
-    ballots: list[Ballot] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        cut = raw.find("#")
-        line = raw if cut < 0 else raw[:cut]
-        if not line.strip():
-            continue
-        if option_set is None:
+    for lineno, raw in lines:
+        line = raw.partition("#")[0]
+        if line.strip():
             option_set = _parse_header(line, lineno)
-        else:
-            ballots.append(_parse_ballot_line(line, lineno, option_set))
-    if option_set is None or not ballots:
+            break
+    if option_set is None:
         raise EmptyProfileError("document contains no ballots")
-    return BallotSet(option_set, tuple(ballots))
+    n = option_set.n
+    index = {label: i for i, label in enumerate(option_set.labels)}
+    dtype = np.min_scalar_type(n)
+    blank = [n] * n
+    flat = array.array(dtype.char)
+    weights: list[int] = []
+    voters = 0
+    for lineno, raw in lines:
+        line = raw.partition("#")[0]
+        # Without a colon, body is empty and the scan refuses it.
+        head, _, body = line.partition(":")
+        head = head.strip()
+        weight = int(head) if _is_weight(head) and len(head) <= _MAX_WEIGHT_DIGITS else 0
+        row = blank.copy()
+        if not (weight and _scan_ranking(body, index, row)):
+            if not line.strip():
+                continue
+            ballot = _parse_ballot_line(line, lineno, option_set)
+            weight, row = ballot.weight, _tier_row(ballot, option_set)
+        voters += weight
+        if voters > MAX_VOTERS:
+            raise WeightOverflowError(_OVERFLOW_MESSAGE, lineno)
+        flat.extend(row)
+        weights.append(weight)
+    if not weights:
+        raise EmptyProfileError("document contains no ballots")
+    ranks = np.frombuffer(flat, dtype=dtype).reshape(len(weights), n)
+    return BallotSet._from_columns(option_set, ranks, np.array(weights, dtype=np.int64), voters)
 
 
 def aggregate(ballots: BallotSet, ties: TiePolicy = TiePolicy.HALF) -> LlullMatrix:
@@ -195,24 +319,25 @@ def aggregate(ballots: BallotSet, ties: TiePolicy = TiePolicy.HALF) -> LlullMatr
     strictly above y or ranks x while leaving y unranked.  Explicit
     ties score half for each side under TiePolicy.HALF and nothing
     under TiePolicy.ABSTAIN.  Counting is exact: int64 units of 1/(2V),
-    at most 2V per entry (larger V is refused), divided out at the end.
+    at most 2V per entry (BallotSet refuses V past MAX_VOTERS), divided
+    out at the end.  Ballots are compared a chunk at a time, about 4 MB
+    of int64 products per chunk, so memory stays O(n² + chunk · n²).
     """
-    voters = ballots.voters
-    if 2 * voters > np.iinfo(np.int64).max:
-        raise WeightOverflowError(f"{voters} voters overflow the exact int64 count")
     n = ballots.option_set.n
+    ranks, weights = ballots.ranks, ballots.weights
     units = np.zeros((n, n), dtype=np.int64)
-    for ballot in ballots.ballots:
-        r = np.full(n, np.inf)
-        for tier_index, tier in enumerate(ballot.tiers):
-            for label in tier:
-                r[ballots.option_set.index(label)] = tier_index
-        units += (2 * ballot.weight) * (r[:, None] < r[None, :])
+    chunk = max(1, _CHUNK_UNITS // (n * n))
+    for start in range(0, len(weights), chunk):
+        r = ranks[start : start + chunk]
+        x, y = r[:, :, None], r[:, None, :]
+        # Units per ballot: 2 when x is above y, 1 for two ranked options
+        # in one tier (the diagonal is cleared below), 0 otherwise.
+        score = 2 * (x < y).view(np.int8)
         if ties is TiePolicy.HALF:
-            tied = np.isfinite(r)[:, None] & (r[:, None] == r[None, :])
-            np.fill_diagonal(tied, False)
-            units += ballot.weight * tied
-    return LlullMatrix(ballots.option_set, units / (2 * voters))
+            score += ((x == y) & (x < n)).view(np.int8)
+        units += (score * weights[start : start + chunk, None, None]).sum(axis=0)
+    np.fill_diagonal(units, 0)
+    return LlullMatrix(ballots.option_set, units / (2 * ballots.voters))
 
 
 def _relation(ranks: dict[str, int], z: str, c: str) -> str:

@@ -14,11 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
 
-from .ballots import BallotSet, TiePolicy, aggregate, parse_ballots
+from .ballots import TiePolicy, aggregate, parse_ballots
 from .errors import (
     LlullError,
     MatrixValidationError,
@@ -50,8 +51,11 @@ DEFAULT_TOL = 1e-12
 
 
 def _sniff_kind(text: str) -> str:
-    for raw in text.splitlines():
-        line = raw.strip()
+    # Lines end at '\n' or '\r', as in parse_ballots (str.splitlines would
+    # end a comment at '\x1c' and sniff its tail), and only the lines up
+    # to the first one with content are split off.
+    for match in re.finditer(r"[^\r\n]+", text):
+        line = match.group().strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("{"):
@@ -64,14 +68,13 @@ def _sniff_kind(text: str) -> str:
     return "ballots"
 
 
-def _load(text: str, kind: str | None, ties: TiePolicy) -> tuple[LlullMatrix, BallotSet | None]:
+def _load(text: str, kind: str | None, ties: TiePolicy) -> LlullMatrix:
     kind = kind or _sniff_kind(text)
     if kind == "ballots":
-        ballots = parse_ballots(text)
-        return aggregate(ballots, ties), ballots
+        return aggregate(parse_ballots(text), ties)
     if text.lstrip().startswith("{"):
-        return LlullMatrix.from_json(text), None
-    return LlullMatrix.from_csv(text), None
+        return LlullMatrix.from_json(text)
+    return LlullMatrix.from_csv(text)
 
 
 def _fmt(x: float) -> str:
@@ -315,7 +318,7 @@ def _run_one(args, path: str) -> tuple[int, str]:
     except OSError as exc:
         return 2, f"error: cannot read {path}: {exc}\n"
     try:
-        M, _ = _load(text, args.in_kind, TiePolicy(args.ties))
+        M = _load(text, args.in_kind, TiePolicy(args.ties))
         if args.command == "tally":
             return 0, _cmd_tally(M, args)
         if args.command == "analyze":

@@ -37,6 +37,10 @@ class EmptyProfileError(ParseError):
 class WeightOverflowError(ParseError):
     """Ballot weights too large to count exactly in int64 units."""
 
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
+        self.line = line
+
 
 class MatrixFormatError(ParseError):
     """Matrix document does not match the JSON or CSV schema."""

@@ -290,8 +290,7 @@ def unanimous_sets(M: LlullMatrix) -> tuple[tuple[str, ...], ...]:
 
 
 def _is_complete_profile(ballots: BallotSet) -> bool:
-    universe = set(ballots.option_set.labels)
-    return all(set(b.ranks()) == universe for b in ballots.ballots)
+    return bool((ballots.ranks < ballots.option_set.n).all())
 
 
 def check_decomposition(

@@ -2,13 +2,16 @@
 
 The oracles deliberately use different algorithms than the library:
 widest paths by exhaustive path enumeration, components by BFS
-reachability, gradients by central differences, and the CLC check,
-dominance order and chain generation by explicit scalar loops.
+reachability, gradients by central differences, the CLC check,
+dominance order and chain generation by explicit scalar loops, and
+ballot ingestion by the column-tracking parser on every line and a
+per-ballot tally.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 import string
 
 import numpy as np
@@ -19,11 +22,15 @@ from llull import (
     BallotSet,
     ClcVerdict,
     ClcWitness,
+    EmptyProfileError,
     LlullMatrix,
     OptionSet,
+    TiePolicy,
+    WeightOverflowError,
     aggregate,
     indirect_scores,
 )
+from llull.ballots import _parse_ballot_line, _parse_header
 
 
 def letters(n: int) -> tuple[str, ...]:
@@ -410,3 +417,47 @@ def oracle_chain_generate(a, b):
             out[i, j] = hi
             out[j, i] = lo
     return out
+
+
+def oracle_parse_ballots(text):
+    """Every line through the column-tracking parser: (OptionSet, Ballots in file order)."""
+    option_set = None
+    ballots = []
+    for lineno, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
+        cut = raw.find("#")
+        line = raw if cut < 0 else raw[:cut]
+        if not line.strip():
+            continue
+        if option_set is None:
+            option_set = _parse_header(line, lineno)
+        else:
+            ballots.append(_parse_ballot_line(line, lineno, option_set))
+    if option_set is None or not ballots:
+        raise EmptyProfileError("document contains no ballots")
+    return option_set, ballots
+
+
+def oracle_aggregate(option_set, ballots, ties=TiePolicy.HALF):
+    """Scores tallied one Ballot at a time, in int64 units of half a vote."""
+    voters = sum(ballot.weight for ballot in ballots)
+    if 2 * voters > np.iinfo(np.int64).max:
+        raise WeightOverflowError(f"{voters} voters overflow the exact int64 count")
+    n = option_set.n
+    units = np.zeros((n, n), dtype=np.int64)
+    for ballot in ballots:
+        r = np.full(n, np.inf)
+        for tier_index, tier in enumerate(ballot.tiers):
+            for label in tier:
+                r[option_set.index(label)] = tier_index
+        units += (2 * ballot.weight) * (r[:, None] < r[None, :])
+        if ties is TiePolicy.HALF:
+            tied = np.isfinite(r)[:, None] & (r[:, None] == r[None, :])
+            np.fill_diagonal(tied, False)
+            units += ballot.weight * tied
+    return units / (2 * voters)
+
+
+def in_declaration_order(option_set, ballot):
+    """The Ballot with each tier's labels in option-set order, as BallotSet returns them."""
+    tiers = tuple(tuple(sorted(tier, key=option_set.index)) for tier in ballot.tiers)
+    return Ballot(tiers, ballot.weight)

@@ -3,23 +3,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import llull.ballots
 from llull import (
     BadRepresentativeError,
     Ballot,
     BallotSet,
     BallotSyntaxError,
     EmptyProfileError,
+    LlullError,
     NotAutonomousError,
     OptionSet,
     TiePolicy,
     UnknownOptionError,
+    WeightOverflowError,
     aggregate,
     contract,
     is_autonomous,
     parse_ballots,
     restrict_ballots,
 )
-from conftest import planted_autonomous_profile, random_profile
+from llull.ballots import MAX_VOTERS
+from conftest import (
+    in_declaration_order,
+    oracle_aggregate,
+    oracle_parse_ballots,
+    planted_autonomous_profile,
+    random_profile,
+)
 
 DOC = """\
 # demo profile
@@ -83,6 +93,28 @@ class TestParser:
             with pytest.raises(BallotSyntaxError):
                 parse_ballots(f"options: a, b\n{line}\n")
 
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0661", "\uff11"])
+    def test_non_ascii_digit_weight(self, digit):
+        # str.isdigit accepts all three; int() refuses the first and reads the others.
+        with pytest.raises(BallotSyntaxError) as exc:
+            parse_ballots(f"options: a, b\n  {digit}: a>b\n")
+        assert str(exc.value) == "line 2, column 3: weight must be a positive integer"
+
+    @pytest.mark.parametrize(
+        "separator", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_only_newlines_end_a_line(self, separator):
+        with pytest.raises(UnknownOptionError) as exc:
+            parse_ballots(f"options: a b\n{separator}\n1: z\n")
+        assert exc.value.line == 3
+        profile = parse_ballots(f"options: a b\n1: a # x{separator}y > b\n")
+        assert list(profile.ballots) == [Ballot((("a",),), 1)]
+
+    def test_crlf_and_cr_end_lines(self):
+        with pytest.raises(UnknownOptionError) as exc:
+            parse_ballots("options: a b\r\n1: a\r\r\n2: z\n")
+        assert exc.value.line == 4
+
     def test_duplicate_rank(self):
         with pytest.raises(BallotSyntaxError):
             parse_ballots("options: a, b\n1: a>b>a\n")
@@ -126,6 +158,79 @@ class TestBallotObjects:
             BallotSet(opts, ())
         with pytest.raises(UnknownOptionError):
             BallotSet(opts, (Ballot((("z",),), 1),))
+
+    def test_columns(self):
+        profile = parse_ballots(DOC)
+        assert profile.ranks.dtype == np.uint8
+        assert profile.ranks.tolist() == [[0, 1, 2], [1, 0, 0], [3, 0, 3]]
+        assert profile.weights.dtype == np.int64
+        assert profile.weights.tolist() == [2, 1, 1]
+        assert not profile.ranks.flags.writeable and not profile.weights.flags.writeable
+        rebuilt = BallotSet(profile.option_set, profile.ballots)
+        assert rebuilt.ranks.tolist() == profile.ranks.tolist()
+
+    def test_tied_labels_come_back_in_declaration_order(self):
+        profile = parse_ballots("options: a, b, c\n1: c = a > b\n")
+        assert profile.ballots[0] == Ballot((("a", "c"), ("b",)), 1)
+        built = BallotSet(profile.option_set, [Ballot((("c", "b"),), 2)])
+        assert built.ballots[-1] == Ballot((("b", "c"),), 2)
+        assert built.ballots[:] == (Ballot((("b", "c"),), 2),)
+
+    def test_len_of_ballots_builds_no_ballot(self, monkeypatch):
+        profile = parse_ballots(DOC)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("len() built a Ballot")
+
+        monkeypatch.setattr(llull.ballots, "Ballot", refuse)
+        assert len(profile.ballots) == 3
+
+
+class TestWeightOverflow:
+    """The int64 columns and counts hold at most MAX_VOTERS voters."""
+
+    def test_single_weight_past_int64(self):
+        with pytest.raises(WeightOverflowError) as exc:
+            parse_ballots("options: a b c\n9223372036854775808: a > b > c\n1: b > a\n")
+        assert exc.value.line == 2
+
+    def test_weight_sum_past_the_bound(self):
+        with pytest.raises(WeightOverflowError) as exc:
+            parse_ballots("options: a b c\n" + "2305843009213693952: a > b > c\n" * 4)
+        assert exc.value.line == 3
+        assert str(exc.value).startswith("line 3: ")
+        assert parse_ballots(f"options: a b\n{MAX_VOTERS}: a\n").voters == MAX_VOTERS
+        with pytest.raises(WeightOverflowError) as exc:
+            parse_ballots(f"options: a b\n{MAX_VOTERS}: a\n1: b\n")
+        assert exc.value.line == 3
+
+    def test_weight_with_thousands_of_digits(self):
+        with pytest.raises(WeightOverflowError) as exc:
+            parse_ballots("options: a b\n" + "7" * 5000 + ": a\n")
+        assert exc.value.line == 2
+
+    def test_leading_zeros_are_not_digits(self):
+        profile = parse_ballots("options: a b\n" + "0" * 30 + "3: a\n")
+        assert profile.voters == 3
+
+    def test_ballot_objects_past_the_bound(self):
+        opts = OptionSet(("a", "b"))
+        with pytest.raises(WeightOverflowError):
+            BallotSet(opts, [Ballot((("a",),), MAX_VOTERS), Ballot((("b",),), 1)])
+
+    def test_weights_at_the_bound_count_exactly(self):
+        opts = OptionSet(("a", "b", "c"))
+        third = MAX_VOTERS // 3
+        ballots = [
+            Ballot((("a",), ("b", "c")), third),
+            Ballot((("c",),), third),
+            Ballot((("b", "a"),), MAX_VOTERS - 2 * third),
+        ]
+        profile = BallotSet(opts, ballots)
+        assert profile.voters == MAX_VOTERS
+        for ties in TiePolicy:
+            got = aggregate(profile, ties).scores
+            assert got.tobytes() == oracle_aggregate(opts, ballots, ties).tobytes()
 
 
 class TestAggregation:
@@ -238,3 +343,104 @@ class TestAutonomyAndContraction:
         profile = parse_ballots("options: a, b, c\n1: a>b\n")
         with pytest.raises(EmptyProfileError):
             restrict_ballots(profile, ["c"])
+
+
+LABEL_POOL = ("a", "b", "c", "d", "x1", "long_label", "\u00e9", "\u03a9")
+PADDING = ("", "", " ", "  ", "\t", "\f", "\x1c", "\u2028")
+LINE_ENDS = ("\n", "\n", "\r\n", "\r")
+BAD_WEIGHTS = ("0", "00", "x", "-1", "+1", "1.5", "", "1 2", "\u00b2", "\u0661", "9" * 25)
+MUTATIONS = ("unknown", "reserved", "whitespace", "duplicate", "empty", "weight", "colon")
+
+
+@st.composite
+def ballot_documents(draw):
+    """Valid ballot documents, about half with one line mutated into an error."""
+    labels = draw(st.permutations(LABEL_POOL))[: draw(st.integers(1, 6))]
+
+    def pad():
+        return draw(st.sampled_from(PADDING))
+
+    if draw(st.booleans()):
+        header = "options:" + ",".join(pad() + label + pad() for label in labels)
+    else:
+        header = "options:" + "".join(" " + pad() + label for label in labels)
+    lines = ["# preamble"] * draw(st.integers(0, 1)) + [header]
+    broken = draw(st.none() | st.integers(0, 5))  # the ballot line to mutate, if any
+    for k in range(draw(st.integers(1, 6))):
+        chosen = draw(st.permutations(labels))[: draw(st.integers(1, len(labels)))]
+        tiers = [[chosen[0]]]
+        for label in chosen[1:]:
+            if draw(st.integers(0, 3)) == 0:
+                tiers[-1].append(label)
+            else:
+                tiers.append([label])
+        weight = draw(st.sampled_from(("", "0", "00"))) + str(draw(st.integers(1, 5)))
+        colon = ":"
+        mutation = draw(st.sampled_from(MUTATIONS)) if k == broken else None
+        tier = draw(st.integers(0, len(tiers) - 1))
+        spot = draw(st.integers(0, len(tiers[tier]) - 1))
+        if mutation == "unknown":
+            tiers[tier][spot] = "zz"
+        elif mutation == "reserved":
+            tiers[tier][spot] += draw(st.sampled_from(":,#")) + "q"
+        elif mutation == "whitespace":
+            tiers[tier][spot] += " q"
+        elif mutation == "duplicate":
+            tiers.append([chosen[0]])
+        elif mutation == "empty":
+            tiers[tier][spot] = ""
+        elif mutation == "weight":
+            weight = draw(st.sampled_from(BAD_WEIGHTS))
+        elif mutation == "colon":
+            colon = ""
+        ranking = (pad() + ">" + pad()).join(
+            (pad() + "=" + pad()).join(labels_in_tier) for labels_in_tier in tiers
+        )
+        line = pad() + weight + pad() + colon + pad() + ranking + pad()
+        if draw(st.booleans()):
+            line += "# note" + pad() + "a > b"
+        lines.append(line)
+        lines += [pad(), "# comment"][: draw(st.integers(0, 2))]
+    ends = [draw(st.sampled_from(LINE_ENDS)) for _ in lines]
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except LlullError as exc:
+        return None, exc
+
+
+class TestAgainstOracles:
+    """The columnar parser and kernel against the line parser and per-ballot tally."""
+
+    @given(doc=ballot_documents())
+    @settings(max_examples=300, deadline=None)
+    def test_documents_match_the_line_parser(self, doc):
+        expected, expected_exc = _outcome(lambda: oracle_parse_ballots(doc))
+        profile, exc = _outcome(lambda: parse_ballots(doc))
+        if expected_exc is not None:
+            assert type(exc) is type(expected_exc)
+            assert str(exc) == str(expected_exc)
+            return
+        assert exc is None
+        option_set, ballots = expected
+        assert profile.option_set.labels == option_set.labels
+        assert list(profile.ballots) == [in_declaration_order(option_set, b) for b in ballots]
+        assert profile.voters == sum(b.weight for b in ballots)
+        for ties in TiePolicy:
+            got = aggregate(profile, ties).scores
+            assert got.tobytes() == oracle_aggregate(option_set, ballots, ties).tobytes()
+
+    @pytest.mark.parametrize("chunk_units", [1, 30, 2**19])
+    def test_chunk_size_does_not_change_the_count(self, monkeypatch, chunk_units):
+        monkeypatch.setattr(llull.ballots, "_CHUNK_UNITS", chunk_units)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            n = int(rng.integers(1, 7))
+            profile = random_profile(rng, n, n_ballots=int(rng.integers(1, 40)))
+            ballots = list(profile.ballots)
+            for ties in TiePolicy:
+                want = oracle_aggregate(profile.option_set, ballots, ties)
+                assert aggregate(profile, ties).scores.tobytes() == want.tobytes()

@@ -67,6 +67,11 @@ class TestInputHandling:
         path.write_text("# preamble\n" + BALLOTS, encoding="utf-8")
         assert main(["tally", "--in", str(path)]) == 0
 
+    def test_line_separator_inside_a_comment_keeps_it_a_comment(self, tmp_path, capsys):
+        path = tmp_path / "separator.ballots"
+        path.write_text("# note\x1c{\n" + BALLOTS, encoding="utf-8")
+        assert main(["tally", "--in", str(path)]) == 0
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
