@@ -340,90 +340,75 @@ def aggregate(ballots: BallotSet, ties: TiePolicy = TiePolicy.HALF) -> LlullMatr
     return LlullMatrix(ballots.option_set, units / (2 * ballots.voters))
 
 
-def _relation(ranks: dict[str, int], z: str, c: str) -> str:
-    """How a ballot compares z against c: above, below, tied, or not at all."""
-    rz, rc = ranks.get(z), ranks.get(c)
-    if rz is None and rc is None:
-        return "none"
-    if rc is None or (rz is not None and rz < rc):
-        return "above"
-    if rz is None or rz > rc:
-        return "below"
-    return "tied"
+def _checked_subset(option_set: OptionSet, C) -> list[int]:
+    """Column indices of the members of C, in declaration order.
 
-
-def _checked_subset(option_set: OptionSet, C) -> set[str]:
+    The first label of C that is not an option raises UnknownOptionError.
+    """
     members = list(C)
     if not members:
         raise EmptySubsetError("option subset is empty")
-    for label in members:
-        if label not in option_set:
-            raise UnknownOptionError(label)
-    return set(members)
+    return sorted(set(option_set.indices(members)))
+
+
+def _reranked(option_set: OptionSet, ranks, unranked: int, weights) -> BallotSet:
+    """A profile from rank columns with gaps: each row's tiers become 0..k-1, unranked n."""
+    n = option_set.n
+    rows = np.arange(len(ranks))[:, None]
+    seen = np.zeros((len(ranks), unranked + 1), dtype=bool)
+    seen[rows, ranks] = True
+    dense = np.cumsum(seen, axis=1)[rows, ranks] - 1
+    dense[ranks == unranked] = n
+    ranks = dense.astype(np.min_scalar_type(n))
+    return BallotSet._from_columns(option_set, ranks, weights, int(weights.sum()))
 
 
 def is_autonomous(ballots: BallotSet, C) -> bool:
-    """True iff every ballot relates each outside option uniformly to all of C."""
+    """True iff every ballot relates each outside option uniformly to all of C.
+
+    An outside option relates uniformly when it sits above every member,
+    below every member, or the members all share one tier (or all are
+    unranked).  One pass over the rank columns: O(B·n).
+    """
     members = _checked_subset(ballots.option_set, C)
-    outside = [x for x in ballots.option_set if x not in members]
-    ordered = [x for x in ballots.option_set if x in members]
-    for ballot in ballots.ballots:
-        ranks = ballot.ranks()
-        for z in outside:
-            first = _relation(ranks, z, ordered[0])
-            if any(_relation(ranks, z, c) != first for c in ordered[1:]):
-                return False
-    return True
+    tiers = ballots.ranks[:, members]
+    lo, hi = tiers.min(axis=1, keepdims=True), tiers.max(axis=1, keepdims=True)
+    z = np.delete(ballots.ranks, members, axis=1)
+    return bool(((z < lo) | (z > hi) | (lo == hi)).all())
 
 
 def contract(ballots: BallotSet, C, rep: str) -> BallotSet:
-    """Collapse an autonomous set C to the single option rep, in place."""
-    members = _checked_subset(ballots.option_set, C)
+    """Collapse an autonomous set C to the single option rep, in place.
+
+    rep takes the first member's position and, on each ballot, the best
+    tier of any member.
+    """
+    option_set = ballots.option_set
+    members = _checked_subset(option_set, C)
     if not is_autonomous(ballots, C):
-        raise NotAutonomousError(f"{sorted(members)} is not autonomous in this profile")
-    if rep in ballots.option_set and rep not in members:
+        labels = sorted(option_set.labels[i] for i in members)
+        raise NotAutonomousError(f"{labels} is not autonomous in this profile")
+    if rep in option_set and option_set.index(rep) not in members:
         raise BadRepresentativeError(f"{rep!r} already names an option outside the set")
     if any(c in rep for c in RESERVED_CHARS) or any(c.isspace() for c in rep) or not rep:
         raise BadRepresentativeError(f"{rep!r} is not a usable option label")
-    labels: list[str] = []
-    for label in ballots.option_set:
-        if label in members:
-            if rep not in labels:
-                labels.append(rep)
-        else:
-            labels.append(label)
-    contracted: list[Ballot] = []
-    for ballot in ballots.ballots:
-        placed = False
-        tiers: list[tuple[str, ...]] = []
-        for tier in ballot.tiers:
-            kept: list[str] = []
-            for label in tier:
-                if label in members:
-                    if not placed:
-                        kept.append(rep)
-                        placed = True
-                else:
-                    kept.append(label)
-            if kept:
-                tiers.append(tuple(kept))
-        contracted.append(Ballot(tuple(tiers), ballot.weight))
-    return BallotSet(OptionSet(tuple(labels)), tuple(contracted))
+    # Every dropped member comes after the first, so the first keeps its column.
+    first = members[0]
+    keep = np.delete(np.arange(option_set.n), members[1:])
+    ranks = ballots.ranks[:, keep]
+    ranks[:, first] = ballots.ranks[:, members].min(axis=1)
+    labels = [option_set.labels[i] for i in keep]
+    labels[first] = rep
+    return _reranked(OptionSet(tuple(labels)), ranks, option_set.n, ballots.weights)
 
 
 def restrict_ballots(ballots: BallotSet, X) -> BallotSet:
     """Drop every option outside X from all ballots; empty ballots are discarded."""
-    members = _checked_subset(ballots.option_set, X)
-    labels = tuple(label for label in ballots.option_set if label in members)
-    kept: list[Ballot] = []
-    for ballot in ballots.ballots:
-        tiers = tuple(
-            tuple(label for label in tier if label in members)
-            for tier in ballot.tiers
-        )
-        tiers = tuple(tier for tier in tiers if tier)
-        if tiers:
-            kept.append(Ballot(tiers, ballot.weight))
-    if not kept:
+    option_set = ballots.option_set
+    keep = _checked_subset(option_set, X)
+    ranks = ballots.ranks[:, keep]
+    voting = (ranks < option_set.n).any(axis=1)
+    if not voting.any():
         raise EmptyProfileError("no ballot ranks any option of the subset")
-    return BallotSet(OptionSet(labels), tuple(kept))
+    labels = tuple(option_set.labels[i] for i in keep)
+    return _reranked(OptionSet(labels), ranks[voting], option_set.n, ballots.weights[voting])

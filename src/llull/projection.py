@@ -37,7 +37,6 @@ from .structure import (
 )
 
 FIXED_POINT_TOL = 1e-12
-REPAIR_SWEEP_CAP = 100
 COUPLING_NOISE = 1e-11
 
 
@@ -68,6 +67,29 @@ def _chain_generate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _margins(D: np.ndarray) -> np.ndarray:
+    """margins[k] = max(0, min D[:k+1, k+1:]), by pure selections in O(n^2).
+
+    Suffix minima along each row, then prefix minima down each column,
+    leave min D[:i+1, j:] at (i, j); a -0.0 minimum gives +0.0.
+    """
+    block = np.minimum.accumulate(np.minimum.accumulate(D[:, ::-1], axis=1)[:, ::-1], axis=0)
+    least = np.diagonal(block, 1)
+    return np.where(least > 0.0, least, 0.0)
+
+
+def _repaired(turnouts: np.ndarray, margins: np.ndarray) -> np.ndarray:
+    """Turnouts meeting C1 (t_k <= t_{k+1} + m_k + m_{k+1}) and C2 (non-increasing).
+
+    One C1 pass from the right, then C2 as a running minimum, which keeps
+    C1: where it keeps t_{k+1} it can only lower t_k, elsewhere it sets
+    t_{k+1} = t_k.  So a second pass would change nothing.
+    """
+    for k in range(len(turnouts) - 2, -1, -1):
+        turnouts[k] = min(turnouts[k], turnouts[k + 1] + margins[k] + margins[k + 1])
+    return np.minimum.accumulate(turnouts)
+
+
 def clc_project(M: LlullMatrix, tol: float = STRUCT_TOL) -> ProjectionResult:
     n = M.n
     if n == 1:
@@ -78,28 +100,11 @@ def clc_project(M: LlullMatrix, tol: float = STRUCT_TOL) -> ProjectionResult:
     perm = topological_order(sigma > sigma.T, -rho)
     D = sigma[np.ix_(perm, perm)]
     D = D - D.T
-    margins = np.empty(n - 1)
-    for k in range(n - 1):
-        margins[k] = max(0.0, float(D[: k + 1, k + 1 :].min()))
+    margins = _margins(D)
     ordered = M.scores[np.ix_(perm, perm)]
     raw = np.diagonal(ordered, 1) + np.diagonal(ordered, -1)
     suffix = np.maximum.accumulate(margins[::-1])[::-1]
-    turnouts = np.minimum(1.0, np.maximum(raw, suffix))
-    # One C1 pass (right to left) then one C2 pass (left to right)
-    # provably reaches a fixed point; the loop is a safety bound.
-    for _ in range(REPAIR_SWEEP_CAP):
-        changed = False
-        for k in range(n - 3, -1, -1):
-            bound = turnouts[k + 1] + margins[k] + margins[k + 1]
-            if turnouts[k] > bound:
-                turnouts[k] = bound
-                changed = True
-        for k in range(n - 2):
-            if turnouts[k + 1] > turnouts[k]:
-                turnouts[k + 1] = turnouts[k]
-                changed = True
-        if not changed:
-            break
+    turnouts = _repaired(np.minimum(1.0, np.maximum(raw, suffix)), margins)
     a = (turnouts + margins) / 2.0
     b = (turnouts - margins) / 2.0
     chained = _chain_generate(a, b)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ballots import BallotSet, aggregate, contract, is_autonomous, restrict_ballots
+from .ballots import BallotSet, aggregate, contract, restrict_ballots
 from .errors import (
     EmptySubsetError,
     HypothesisNotSatisfiedError,
@@ -234,8 +234,9 @@ def check_clone_consistency(
     support or covers its complement (else HypothesisNotSatisfiedError,
     which callers treat as a skip).
     """
-    members = set(_checked_members(aggregate(ballots), C))
-    base = fraction_like_rates(aggregate(ballots), cfg)
+    M = aggregate(ballots)
+    members = set(_checked_members(M, C))
+    base = fraction_like_rates(M, cfg)
     labels = ballots.option_set.labels
     support = {x for x in labels if base.fraction.value(x) > 0.0}
     complement = set(labels) - support

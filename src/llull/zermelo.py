@@ -190,6 +190,11 @@ def solve_irreducible(
         raise NotIrreducibleError(
             f"matrix splits into {len(structure.components)} components"
         )
+    return _fixed_point(M, cfg)
+
+
+def _fixed_point(M: LlullMatrix, cfg: SolverConfig) -> tuple[Strengths, SolveDiagnostics]:
+    """The sweep alone; solve calls it on a component, irreducible by construction."""
     v = M.scores
     t = v + v.T
     W = v.sum(axis=1)
@@ -246,7 +251,7 @@ def solve(M: LlullMatrix, cfg: SolverConfig | None = None) -> tuple[Strengths, S
     if len(X) == 1:
         phi[M.option_set.index(X[0])] = 1.0
         return Strengths(M.option_set, phi, X), SolveDiagnostics(0, 0.0, 0.0)
-    inner, diagnostics = solve_irreducible(restrict(M, X), cfg)
+    inner, diagnostics = _fixed_point(restrict(M, X), cfg)
     for label, value in zip(X, inner.phi):
         phi[M.option_set.index(label)] = value
     return Strengths(M.option_set, phi, X), diagnostics

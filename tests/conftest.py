@@ -3,9 +3,11 @@
 The oracles deliberately use different algorithms than the library:
 widest paths by exhaustive path enumeration, components by BFS
 reachability, gradients by central differences, the CLC check,
-dominance order and chain generation by explicit scalar loops, and
+dominance order and chain generation by explicit scalar loops,
 ballot ingestion by the column-tracking parser on every line and a
-per-ballot tally.
+per-ballot tally, the profile operations (restriction, contraction,
+autonomy) one Ballot at a time, and the projection's margins and
+turnout repair by scalar loops.
 """
 
 from __future__ import annotations
@@ -18,19 +20,23 @@ import numpy as np
 
 from llull import (
     CLC_CONDITIONS,
+    BadRepresentativeError,
     Ballot,
     BallotSet,
     ClcVerdict,
     ClcWitness,
     EmptyProfileError,
+    EmptySubsetError,
     LlullMatrix,
+    NotAutonomousError,
     OptionSet,
     TiePolicy,
+    UnknownOptionError,
     WeightOverflowError,
     aggregate,
     indirect_scores,
 )
-from llull.ballots import _parse_ballot_line, _parse_header
+from llull.ballots import RESERVED_CHARS, _parse_ballot_line, _parse_header
 
 
 def letters(n: int) -> tuple[str, ...]:
@@ -461,3 +467,118 @@ def in_declaration_order(option_set, ballot):
     """The Ballot with each tier's labels in option-set order, as BallotSet returns them."""
     tiers = tuple(tuple(sorted(tier, key=option_set.index)) for tier in ballot.tiers)
     return Ballot(tiers, ballot.weight)
+
+
+def _relation(ranks, z, c):
+    """How a ballot compares z against c: above, below, tied, or not at all."""
+    rz, rc = ranks.get(z), ranks.get(c)
+    if rz is None and rc is None:
+        return "none"
+    if rc is None or (rz is not None and rz < rc):
+        return "above"
+    if rz is None or rz > rc:
+        return "below"
+    return "tied"
+
+
+def _checked_labels(option_set, C):
+    members = list(C)
+    if not members:
+        raise EmptySubsetError("option subset is empty")
+    for label in members:
+        if label not in option_set:
+            raise UnknownOptionError(label)
+    return set(members)
+
+
+def oracle_is_autonomous(ballots, C):
+    """Compare each outside option with every member, one Ballot at a time."""
+    members = _checked_labels(ballots.option_set, C)
+    outside = [x for x in ballots.option_set if x not in members]
+    ordered = [x for x in ballots.option_set if x in members]
+    for ballot in ballots.ballots:
+        ranks = ballot.ranks()
+        for z in outside:
+            first = _relation(ranks, z, ordered[0])
+            if any(_relation(ranks, z, c) != first for c in ordered[1:]):
+                return False
+    return True
+
+
+def oracle_contract(ballots, C, rep):
+    """Rewrite each Ballot's tiers: the first member met becomes rep, the rest go."""
+    members = _checked_labels(ballots.option_set, C)
+    if not oracle_is_autonomous(ballots, C):
+        raise NotAutonomousError(f"{sorted(members)} is not autonomous in this profile")
+    if rep in ballots.option_set and rep not in members:
+        raise BadRepresentativeError(f"{rep!r} already names an option outside the set")
+    if any(c in rep for c in RESERVED_CHARS) or any(c.isspace() for c in rep) or not rep:
+        raise BadRepresentativeError(f"{rep!r} is not a usable option label")
+    labels = []
+    for label in ballots.option_set:
+        if label in members:
+            if rep not in labels:
+                labels.append(rep)
+        else:
+            labels.append(label)
+    contracted = []
+    for ballot in ballots.ballots:
+        placed = False
+        tiers = []
+        for tier in ballot.tiers:
+            kept = []
+            for label in tier:
+                if label in members:
+                    if not placed:
+                        kept.append(rep)
+                        placed = True
+                else:
+                    kept.append(label)
+            if kept:
+                tiers.append(tuple(kept))
+        contracted.append(Ballot(tuple(tiers), ballot.weight))
+    return BallotSet(OptionSet(tuple(labels)), tuple(contracted))
+
+
+def oracle_restrict_ballots(ballots, X):
+    """Filter each Ballot's tiers to X, dropping empty tiers and empty ballots."""
+    members = _checked_labels(ballots.option_set, X)
+    labels = tuple(label for label in ballots.option_set if label in members)
+    kept = []
+    for ballot in ballots.ballots:
+        tiers = tuple(tuple(label for label in tier if label in members) for tier in ballot.tiers)
+        tiers = tuple(tier for tier in tiers if tier)
+        if tiers:
+            kept.append(Ballot(tiers, ballot.weight))
+    if not kept:
+        raise EmptyProfileError("no ballot ranks any option of the subset")
+    return BallotSet(OptionSet(labels), tuple(kept))
+
+
+def oracle_margins(D):
+    """margins[k] = max(0, min over the block D[:k+1, k+1:]), one block at a time."""
+    n = D.shape[0]
+    margins = np.empty(n - 1)
+    for k in range(n - 1):
+        margins[k] = max(0.0, float(D[: k + 1, k + 1 :].min()))
+    return margins
+
+
+def oracle_repaired(turnouts, margins, cap=100):
+    """Alternate C1 (right to left) and C2 (left to right) sweeps until neither changes."""
+    turnouts = turnouts.copy()
+    n = len(turnouts) + 1
+    for _ in range(cap):
+        changed = False
+        for k in range(n - 3, -1, -1):
+            bound = turnouts[k + 1] + margins[k] + margins[k + 1]
+            if turnouts[k] > bound:
+                turnouts[k] = bound
+                changed = True
+        for k in range(n - 2):
+            if turnouts[k + 1] > turnouts[k]:
+                turnouts[k + 1] = turnouts[k]
+                changed = True
+        if not changed:
+            break
+    return turnouts

@@ -26,7 +26,10 @@ from llull.ballots import MAX_VOTERS
 from conftest import (
     in_declaration_order,
     oracle_aggregate,
+    oracle_contract,
+    oracle_is_autonomous,
     oracle_parse_ballots,
+    oracle_restrict_ballots,
     planted_autonomous_profile,
     random_profile,
 )
@@ -444,3 +447,114 @@ class TestAgainstOracles:
             for ties in TiePolicy:
                 want = oracle_aggregate(profile.option_set, ballots, ties)
                 assert aggregate(profile, ties).scores.tobytes() == want.tobytes()
+
+
+@st.composite
+def profile_operations(draw):
+    """A profile, an option subset and a representative label to contract it to."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        profile, block = planted_autonomous_profile(rng)
+    else:
+        n = draw(st.integers(1, 7))
+        profile = random_profile(rng, n, n_ballots=draw(st.integers(1, 12)))
+        block = profile.option_set.labels[: draw(st.integers(1, n))]
+    labels = profile.option_set.labels
+    kind = draw(st.sampled_from(("block", "random", "single", "all", "empty", "unknown")))
+    if kind == "block":
+        subset = list(block)
+    elif kind == "random":
+        subset = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=len(labels) + 2))
+    elif kind == "single":
+        subset = [draw(st.sampled_from(labels))]
+    elif kind == "all":
+        subset = list(labels)
+    elif kind == "empty":
+        subset = []
+    else:
+        subset = [draw(st.sampled_from(labels)), "zz"]
+    subset = draw(st.permutations(subset))
+    rep = draw(st.sampled_from(["c*", "", "c>", "a b", *subset, *labels]))
+    return profile, subset, rep
+
+
+def _assert_same_profile(got, want):
+    assert got.option_set.labels == want.option_set.labels
+    assert got.ranks.dtype == want.ranks.dtype
+    assert np.array_equal(got.ranks, want.ranks)
+    assert got.weights.dtype == want.weights.dtype
+    assert np.array_equal(got.weights, want.weights)
+    assert type(got.voters) is int and got.voters == want.voters
+
+
+def _assert_same_outcome(fn, oracle, compare):
+    got, exc = _outcome(fn)
+    want, want_exc = _outcome(oracle)
+    if want_exc is not None:
+        assert type(exc) is type(want_exc)
+        assert str(exc) == str(want_exc)
+        return
+    assert exc is None
+    compare(got, want)
+
+
+def _assert_equal(got, want):
+    assert got == want
+
+
+class TestProfileOperationsAgainstOracles:
+    """Restriction, contraction and autonomy on the columns against per-Ballot walks."""
+
+    @given(case=profile_operations())
+    @settings(max_examples=400, deadline=None)
+    def test_operations_match_the_ballot_walks(self, case):
+        profile, subset, rep = case
+        _assert_same_outcome(
+            lambda: is_autonomous(profile, subset),
+            lambda: oracle_is_autonomous(profile, subset),
+            _assert_equal,
+        )
+        _assert_same_outcome(
+            lambda: restrict_ballots(profile, subset),
+            lambda: oracle_restrict_ballots(profile, subset),
+            _assert_same_profile,
+        )
+        _assert_same_outcome(
+            lambda: contract(profile, subset, rep),
+            lambda: oracle_contract(profile, subset, rep),
+            _assert_same_profile,
+        )
+
+    def test_wide_profile_narrows_its_rank_dtype(self):
+        labels = tuple(f"o{i}" for i in range(300))
+        rng = np.random.default_rng(8)
+        ballots = []
+        for _ in range(6):
+            chosen = [labels[i] for i in rng.permutation(300)[: int(rng.integers(1, 300))]]
+            ballots.append(Ballot(tuple((x,) for x in chosen), int(rng.integers(1, 4))))
+        profile = BallotSet(OptionSet(labels), ballots)
+        assert profile.ranks.dtype == np.uint16
+        subset = labels[:5] + labels[-3:]
+        sub = restrict_ballots(profile, subset)
+        assert sub.ranks.dtype == np.uint8
+        _assert_same_profile(sub, oracle_restrict_ballots(profile, subset))
+        _assert_same_profile(contract(profile, labels, "all"), oracle_contract(profile, labels, "all"))
+
+    def test_operations_build_no_ballot(self, monkeypatch):
+        profile = parse_ballots("options: c1, c2, z\n2: c1 = c2 > z\n1: z > c2 > c1\n1: z\n")
+
+        def refuse(*args):
+            raise AssertionError("a Ballot was built")
+
+        monkeypatch.setattr(llull.ballots._BallotView, "__getitem__", refuse)
+        monkeypatch.setattr(Ballot, "__post_init__", refuse)
+        assert is_autonomous(profile, ["c1", "c2"])
+        assert not is_autonomous(profile, ["c1", "z"])
+        merged = contract(profile, ["c2", "c1"], "c")
+        assert merged.option_set.labels == ("c", "z")
+        assert merged.ranks.tolist() == [[0, 1], [1, 0], [2, 0]]
+        sub = restrict_ballots(profile, ["z", "c2"])
+        assert sub.option_set.labels == ("c2", "z")
+        assert sub.ranks.tolist() == [[0, 1], [1, 0], [2, 0]]
+        assert sub.weights.tolist() == [2, 1, 1]
+        assert (merged.voters, sub.voters) == (4, 4)

@@ -19,9 +19,14 @@ from conftest import (
     mixed_corpus,
     oracle_chain_generate,
     oracle_dominance_order,
+    oracle_margins,
+    oracle_repaired,
+    random_matrix,
+    random_profile,
     tied_matrix,
 )
-from llull.projection import _chain_generate
+from llull import aggregate
+from llull.projection import _chain_generate, _margins, _repaired
 from llull.structure import topological_order
 
 
@@ -170,3 +175,46 @@ class TestVerifyProjection:
         fake = ProjectionResult(M, AdmissibleOrder(("a", "b", "c")), True)
         checks = verify_projection(M, fake)
         assert not checks.ok
+
+
+class TestMarginsAndRepairAgainstOracles:
+    """Running-minimum margins and the two-pass repair against the block and sweep loops."""
+
+    @given(seed=st.integers(0, 10**6), style=st.sampled_from(("random", "tied", "ballots")))
+    @settings(max_examples=150, deadline=None)
+    def test_match_the_loops_bit_for_bit(self, seed, style):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 26))
+        if style == "random":
+            M = random_matrix(rng, n, zero_prob=0.2)
+        elif style == "tied":
+            M = tied_matrix(rng, n)
+        else:
+            M = aggregate(random_profile(rng, n))
+        sigma = indirect_scores(M).sigma
+        rho = M.scores.sum(axis=1) / (n - 1)
+        for perm in (topological_order(sigma > sigma.T, -rho), rng.permutation(n)):
+            D = sigma[np.ix_(perm, perm)]
+            D = D - D.T
+            margins = oracle_margins(D)
+            assert _margins(D).tobytes() == margins.tobytes()
+            ordered = M.scores[np.ix_(perm, perm)]
+            raw = np.diagonal(ordered, 1) + np.diagonal(ordered, -1)
+            suffix = np.maximum.accumulate(margins[::-1])[::-1]
+            turnouts = np.minimum(1.0, np.maximum(raw, suffix))
+            repaired = _repaired(turnouts.copy(), margins)
+            assert repaired.tobytes() == oracle_repaired(turnouts, margins).tobytes()
+
+    def test_negative_zero_margin_reads_positive_zero(self):
+        D = np.array([[0.0, -0.0, 0.25], [0.0, 0.0, -0.0], [-0.25, 0.0, 0.0]])
+        assert _margins(D).tobytes() == oracle_margins(D).tobytes() == np.zeros(2).tobytes()
+
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_repair_matches_the_sweeps_on_arbitrary_turnouts(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 25))
+        turnouts = rng.integers(0, 9, size=k) / 8.0
+        margins = rng.integers(0, 3, size=k) / 16.0
+        repaired = _repaired(turnouts.copy(), margins)
+        assert repaired.tobytes() == oracle_repaired(turnouts, margins).tobytes()

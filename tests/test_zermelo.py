@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+
+import llull.projection
+import llull.structure
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +15,7 @@ from llull import (
     OptionSet,
     SolverConfig,
     Strengths,
+    fraction_like_rates,
     log_likelihood,
     log_likelihood_gradient,
     log_likelihood_hessian,
@@ -174,6 +178,23 @@ class TestSolve:
         inner, _ = solve_irreducible(restrict(M, ("a", "b")))
         assert phi.value("a") == inner.value("a")
         assert phi.value("b") == inner.value("b")
+
+    def test_one_rating_computes_the_closure_three_times(self, monkeypatch):
+        calls = []
+        closure = llull.structure.indirect_scores
+
+        def counted(M):
+            calls.append(M.n)
+            return closure(M)
+
+        monkeypatch.setattr(llull.structure, "indirect_scores", counted)
+        monkeypatch.setattr(llull.projection, "indirect_scores", counted)
+        M = positive_matrix(np.random.default_rng(4), 5)
+        report = fraction_like_rates(M)
+        assert len(report.fraction.option_set.labels) == 5
+        assert report.diagnostics.iterations > 0
+        # clc_project, its postcondition's components, and solve's components.
+        assert len(calls) == 3
 
     def test_no_top_component(self):
         scores = np.zeros((4, 4))
