@@ -42,6 +42,7 @@ from .rates import (
 from .structure import analyze_structure
 from .zermelo import (
     SolverConfig,
+    Strengths,
     log_likelihood_gradient,
     residual_vector,
     solve,
@@ -212,6 +213,13 @@ def _cmd_compare(M: LlullMatrix, args) -> str:
     return _table(["option", "fraction", "mean_score", "mean_rank", "eigen"], rows)
 
 
+def _sigma_rho_reversed(rho: np.ndarray, sigma: np.ndarray) -> bool:
+    """Some pair has a decisive mean-score gap against a decisive opposite sigma gap."""
+    ahead = rho[:, None] - rho[None, :] > 1e-9
+    behind = sigma[None, :] - sigma[:, None] > 1e-9
+    return bool((ahead & behind).any())
+
+
 def _selfcheck(M: LlullMatrix, args) -> tuple[list[tuple[str, bool, str]], int]:
     cfg = _solver_config(args)
     checks: list[tuple[str, bool, str]] = []
@@ -224,37 +232,36 @@ def _selfcheck(M: LlullMatrix, args) -> tuple[list[tuple[str, bool, str]], int]:
     err = float(np.abs(recovered - M.scores).max(initial=0.0))
     add("margin-turnout-roundtrip", err <= 1e-15, f"max error {err:.3e}")
 
-    result = clc_project(M)
+    report = fraction_like_rates(M, cfg)
+    result = report.projection
     add("projection-clc", True, "gate passed")
     twice = clc_project(result.matrix)
     drift = float(np.abs(twice.matrix.scores - result.matrix.scores).max(initial=0.0))
     add("projection-idempotent", twice.fixed_point, f"drift {drift:.3e}")
     checks_report = verify_projection(M, result)
-    add(
-        "projection-consistency",
-        checks_report.ok,
-        "; ".join(checks_report.issues) if checks_report.issues else "",
-    )
+    add("projection-consistency", checks_report.ok, "; ".join(checks_report.issues))
 
-    report = fraction_like_rates(M, cfg)
     if result.matrix.is_vanishing():
         add("stationarity", True, "skipped: vanishing matrix")
         add("gradient", True, "skipped: vanishing matrix")
     else:
-        strengths, diagnostics = solve(result.matrix, cfg)
-        support = list(strengths.support)
+        # The rates are solve's strengths on the projection; they are
+        # positive exactly on its top component.
+        phi = report.fraction.values
+        top = phi > 0.0
+        support = tuple(x for x, inside in zip(M.labels, top) if inside)
         sub = restrict(result.matrix, support) if len(support) > 1 else None
         if sub is None:
             add("stationarity", True, "singleton support")
             add("gradient", True, "singleton support")
         else:
-            phi_sub = np.array([strengths.value(x) for x in support])
+            phi_sub = phi[top]
             res = float(np.abs(residual_vector(sub, phi_sub)).max())
             add("stationarity", res <= 10 * cfg.tol, f"residual {res:.3e}")
             g = log_likelihood_gradient(sub, phi_sub)
             scaled = float(np.abs(g * phi_sub).max())
             add("gradient", scaled <= 10 * cfg.tol, f"scaled gradient {scaled:.3e}")
-        compat = check_strength_score_compatibility(result, strengths)
+        compat = check_strength_score_compatibility(result, Strengths(M.option_set, phi, support))
         add("strength-score-compatibility", compat.ok, "; ".join(compat.issues))
 
     t_out = result.matrix.scores + result.matrix.scores.T
@@ -262,12 +269,7 @@ def _selfcheck(M: LlullMatrix, args) -> tuple[list[tuple[str, bool, str]], int]:
     if M.n > 1 and (t_out[off] > 0.0).all():
         rho = mean_preference_scores(result.matrix).values
         sigma = mean_relative_scores(result.matrix).values
-        bad = any(
-            rho[i] - rho[j] > 1e-9 and sigma[j] - sigma[i] > 1e-9
-            for i in range(M.n)
-            for j in range(M.n)
-        )
-        add("sigma-rho-order", not bad)
+        add("sigma-rho-order", not _sigma_rho_reversed(rho, sigma))
     else:
         add("sigma-rho-order", True, "skipped: zero turnouts")
 

@@ -15,8 +15,9 @@ The construction works on the widest-path closure of the input:
 
 Steps 2-4 reproduce a matrix that already has CLC structure, which
 makes the projection idempotent.  Every output is passed through
-check_clc before being returned; a failure raises instead of
-returning a bad matrix.
+check_clc, and a non-vanishing one certifies its top dominant
+component from its own chain, before being returned; a failure
+raises instead of returning a bad matrix.
 """
 
 from __future__ import annotations
@@ -90,6 +91,22 @@ def _repaired(turnouts: np.ndarray, margins: np.ndarray) -> np.ndarray:
     return np.minimum.accumulate(turnouts)
 
 
+def _top_run(P: np.ndarray) -> int:
+    """Size of the top dominant component of a non-vanishing matrix in chain order.
+
+    That component is the leading run of positive lower links.  The check
+    proves it in O(n^2): run rows positive off the diagonal reach everyone,
+    and zeros against the run in every later row keep everyone else out.
+    """
+    zero = np.flatnonzero(np.diagonal(P, -1) <= 0.0)
+    r = int(zero[0]) + 1 if zero.size else len(P)
+    top = P[:r] > 0.0
+    top[np.arange(r), np.arange(r)] = True
+    if not top.all() or (P[r:, :r] > 0.0).any():
+        raise ProjectionPostconditionViolatedError("top run is not a positive dominant component")
+    return r
+
+
 def clc_project(M: LlullMatrix, tol: float = STRUCT_TOL) -> ProjectionResult:
     n = M.n
     if n == 1:
@@ -119,21 +136,7 @@ def clc_project(M: LlullMatrix, tol: float = STRUCT_TOL) -> ProjectionResult:
             f"constructed matrix failed check_clc: {witness}"
         )
     if not matrix.is_vanishing():
-        report = components(matrix)
-        top = report.top_dominant
-        if top is None:
-            raise ProjectionPostconditionViolatedError(
-                "non-vanishing output has no top dominant component"
-            )
-        rows = matrix.option_set.indices(report.components[top])
-        block = matrix.scores[rows, :]
-        block_ok = all(
-            (np.delete(block[i], rows[i]) > 0.0).all() for i in range(len(rows))
-        )
-        if not block_ok:
-            raise ProjectionPostconditionViolatedError(
-                "top dominant component lacks strictly positive scores"
-            )
+        _top_run(matrix.scores[np.ix_(perm, perm)])
     fixed_point = bool(np.abs(matrix.scores - M.scores).max(initial=0.0) <= FIXED_POINT_TOL)
     return ProjectionResult(matrix, order, fixed_point)
 
@@ -158,24 +161,19 @@ def verify_projection(
     rho = mean_preference_scores(out).values if n > 1 else np.array([1.0])
     idx = out.option_set.indices(R.order.labels)
     ordered_rho = rho[idx]
-    for k in range(n - 1):
-        if ordered_rho[k + 1] > ordered_rho[k] + tol:
-            issues.append(
-                f"order not sorted by mean score at {R.order.labels[k]!r}"
-            )
+    for k in np.flatnonzero(ordered_rho[1:] > ordered_rho[:-1] + tol):
+        issues.append(f"order not sorted by mean score at {R.order.labels[k]!r}")
     P = out.scores[np.ix_(idx, idx)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = ordered_rho[i] - ordered_rho[j]
-            margin = P[i, j] - P[j, i]
-            if gap > (n - 1) * margin + COUPLING_NOISE:
-                issues.append(
-                    f"mean-score gap without margin: ({R.order.labels[i]}, {R.order.labels[j]})"
-                )
-            elif margin > (n - 1) * gap + COUPLING_NOISE:
-                issues.append(
-                    f"margin without mean-score gap: ({R.order.labels[i]}, {R.order.labels[j]})"
-                )
+    gap = ordered_rho[:, None] - ordered_rho[None, :]
+    margin = P - P.T
+    no_margin = gap > (n - 1) * margin + COUPLING_NOISE
+    no_gap = margin > (n - 1) * gap + COUPLING_NOISE
+    for i, j in zip(*np.nonzero(np.triu(no_margin | no_gap, 1))):
+        pair = f"({R.order.labels[i]}, {R.order.labels[j]})"
+        if no_margin[i, j]:
+            issues.append(f"mean-score gap without margin: {pair}")
+        else:
+            issues.append(f"margin without mean-score gap: {pair}")
     sigma = indirect_scores(out).sigma
     drift = float(np.abs(sigma - out.scores).max(initial=0.0))
     if drift > FIXED_POINT_TOL:
@@ -185,11 +183,8 @@ def verify_projection(
         if report.top_dominant is None:
             issues.append("no top dominant component")
         else:
-            members = set(report.components[report.top_dominant])
-            inside = [rho[out.option_set.index(x)] for x in members]
-            outside = [
-                rho[out.option_set.index(x)] for x in out.labels if x not in members
-            ]
-            if outside and min(inside) < max(outside) - tol:
+            members = out.option_set.indices(report.components[report.top_dominant])
+            outside = np.delete(rho, members)
+            if outside.size and rho[members].min() < outside.max() - tol:
                 issues.append("top component mean scores not above the rest")
     return ProjectionChecks(not issues, tuple(issues))

@@ -126,19 +126,16 @@ def check_strength_score_compatibility(
     rho = mean_preference_scores(P.matrix).values if P.matrix.n > 1 else np.array([1.0])
     f = phi.phi
     labels = P.matrix.labels
+    df, drho = f[:, None] - f[None, :], rho[:, None] - rho[None, :]
+    stronger = (df > RATE_NOISE) & (drho.T > tol)
+    higher = (drho > tol) & (df.T > RATE_NOISE)
     issues: list[str] = []
-    for i in range(len(labels)):
-        for j in range(len(labels)):
-            if i == j:
-                continue
-            if f[i] - f[j] > RATE_NOISE and rho[j] - rho[i] > tol:
-                issues.append(
-                    f"strength gap with reversed mean scores: ({labels[i]}, {labels[j]})"
-                )
-            if rho[i] - rho[j] > tol and f[j] - f[i] > RATE_NOISE:
-                issues.append(
-                    f"mean-score gap with reversed strengths: ({labels[i]}, {labels[j]})"
-                )
+    for i, j in zip(*np.nonzero(stronger | higher)):
+        pair = f"({labels[i]}, {labels[j]})"
+        if stronger[i, j]:
+            issues.append(f"strength gap with reversed mean scores: {pair}")
+        if higher[i, j]:
+            issues.append(f"mean-score gap with reversed strengths: {pair}")
     return CheckReport(not issues, tuple(issues))
 
 

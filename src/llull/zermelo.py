@@ -203,16 +203,12 @@ def _fixed_point(M: LlullMatrix, cfg: SolverConfig) -> tuple[Strengths, SolveDia
     monotone = True
     last_ll = None
     trace: list[tuple[int, float, float]] = []
-
-    def likelihood(S: np.ndarray) -> float:
-        return float(W @ np.log(p) - 0.5 * (t * np.log(S)).sum())
-
     while True:
         S = p[:, None] + p[None, :]
         denom = (t / S).sum(axis=1)
         residual = float(np.abs(p * denom - W).max())
         if cfg.record_trace:
-            ll = likelihood(S)
+            ll = log_likelihood(M, p)
             if last_ll is not None and ll < last_ll - LIKELIHOOD_DECREASE_TOL:
                 monotone = False
             last_ll = ll
@@ -220,7 +216,7 @@ def _fixed_point(M: LlullMatrix, cfg: SolverConfig) -> tuple[Strengths, SolveDia
         if residual <= cfg.tol:
             break
         if iterations >= cfg.max_iter:
-            ll = last_ll if last_ll is not None else likelihood(S)
+            ll = last_ll if last_ll is not None else log_likelihood(M, p)
             diagnostics = SolveDiagnostics(
                 iterations, residual, ll, None, monotone, tuple(trace)
             )
@@ -230,7 +226,7 @@ def _fixed_point(M: LlullMatrix, cfg: SolverConfig) -> tuple[Strengths, SolveDia
         p = W / denom
         p /= p.sum()
         iterations += 1
-    ll = last_ll if last_ll is not None else likelihood(S)
+    ll = last_ll if last_ll is not None else log_likelihood(M, p)
     hess_max = tangent_hessian_max_eigenvalue(log_likelihood_hessian(M, p))
     diagnostics = SolveDiagnostics(
         iterations, residual, ll, hess_max < 0.0, monotone, tuple(trace)

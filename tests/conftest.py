@@ -6,8 +6,10 @@ reachability, gradients by central differences, the CLC check,
 dominance order and chain generation by explicit scalar loops,
 ballot ingestion by the column-tracking parser on every line and a
 per-ballot tally, the profile operations (restriction, contraction,
-autonomy) one Ballot at a time, and the projection's margins and
-turnout repair by scalar loops.
+autonomy) one Ballot at a time, the projection's margins and turnout
+repair, verify_projection's pair checks, the strength/score
+compatibility check and selfcheck's sigma-rho check by scalar loops,
+and the solver's traced likelihoods by the sweep with its own formula.
 """
 
 from __future__ import annotations
@@ -33,8 +35,12 @@ from llull import (
     TiePolicy,
     UnknownOptionError,
     WeightOverflowError,
+    ProjectionChecks,
     aggregate,
+    check_clc,
+    components,
     indirect_scores,
+    mean_preference_scores,
 )
 from llull.ballots import RESERVED_CHARS, _parse_ballot_line, _parse_header
 
@@ -582,3 +588,89 @@ def oracle_repaired(turnouts, margins, cap=100):
         if not changed:
             break
     return turnouts
+
+
+def oracle_verify_projection(M, R, tol=1e-9, coupling_noise=1e-11, fixed_point_tol=1e-12):
+    """verify_projection with the order and gap/margin checks as scalar loops."""
+    issues = []
+    out = R.matrix
+    n = out.n
+    verdict = check_clc(out, R.order, tol)
+    if not verdict.ok:
+        bad = [c for c, passed in verdict.conditions.items() if not passed]
+        issues.append(f"check_clc failed: {', '.join(bad)}")
+    rho = mean_preference_scores(out).values if n > 1 else np.array([1.0])
+    idx = out.option_set.indices(R.order.labels)
+    ordered_rho = rho[idx]
+    for k in range(n - 1):
+        if ordered_rho[k + 1] > ordered_rho[k] + tol:
+            issues.append(f"order not sorted by mean score at {R.order.labels[k]!r}")
+    P = out.scores[np.ix_(idx, idx)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            gap = ordered_rho[i] - ordered_rho[j]
+            margin = P[i, j] - P[j, i]
+            if gap > (n - 1) * margin + coupling_noise:
+                issues.append(
+                    f"mean-score gap without margin: ({R.order.labels[i]}, {R.order.labels[j]})"
+                )
+            elif margin > (n - 1) * gap + coupling_noise:
+                issues.append(
+                    f"margin without mean-score gap: ({R.order.labels[i]}, {R.order.labels[j]})"
+                )
+    sigma = indirect_scores(out).sigma
+    drift = float(np.abs(sigma - out.scores).max(initial=0.0))
+    if drift > fixed_point_tol:
+        issues.append(f"indirect scores drift from the matrix by {drift!r}")
+    if not out.is_vanishing():
+        report = components(out)
+        if report.top_dominant is None:
+            issues.append("no top dominant component")
+        else:
+            members = set(report.components[report.top_dominant])
+            inside = [rho[out.option_set.index(x)] for x in members]
+            outside = [rho[out.option_set.index(x)] for x in out.labels if x not in members]
+            if outside and min(inside) < max(outside) - tol:
+                issues.append("top component mean scores not above the rest")
+    return ProjectionChecks(not issues, tuple(issues))
+
+
+def oracle_strength_score_issues(rho, f, labels, tol=1e-9, rate_noise=1e-11):
+    """Issues of check_strength_score_compatibility, pair by pair."""
+    issues = []
+    for i in range(len(labels)):
+        for j in range(len(labels)):
+            if i == j:
+                continue
+            if f[i] - f[j] > rate_noise and rho[j] - rho[i] > tol:
+                issues.append(f"strength gap with reversed mean scores: ({labels[i]}, {labels[j]})")
+            if rho[i] - rho[j] > tol and f[j] - f[i] > rate_noise:
+                issues.append(f"mean-score gap with reversed strengths: ({labels[i]}, {labels[j]})")
+    return tuple(issues)
+
+
+def oracle_sigma_rho_reversed(rho, sigma):
+    """selfcheck's sigma-rho-order violation, pair by pair."""
+    n = len(rho)
+    return any(
+        rho[i] - rho[j] > 1e-9 and sigma[j] - sigma[i] > 1e-9 for i in range(n) for j in range(n)
+    )
+
+
+def oracle_sweep_trace(M, tol, max_iter):
+    """(iteration, residual, likelihood) per sweep, the likelihood by its own formula."""
+    v = M.scores
+    t = v + v.T
+    W = v.sum(axis=1)
+    p = np.full(M.n, 1.0 / M.n)
+    trace = []
+    for iteration in range(max_iter + 1):
+        S = p[:, None] + p[None, :]
+        denom = (t / S).sum(axis=1)
+        residual = float(np.abs(p * denom - W).max())
+        trace.append((iteration, residual, float(W @ np.log(p) - 0.5 * (t * np.log(S)).sum())))
+        if residual <= tol:
+            break
+        p = W / denom
+        p /= p.sum()
+    return trace

@@ -2,10 +2,17 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import llull.projection
+import llull.structure
+import llull.zermelo
 from llull import LlullMatrix, OptionSet
-from llull.cli import main
+from llull.cli import _sigma_rho_reversed, main
+from conftest import oracle_sigma_rho_reversed
 
 BALLOTS = "options: a, b, c\n3: a > b > c\n2: b > c > a\n1: c = a\n"
 CYCLE = LlullMatrix(
@@ -152,6 +159,43 @@ class TestSubcommands:
         assert main(["selfcheck", "--in", ballot_file, "--format", "json", "--seed", "7"]) == 0
         assert capsys.readouterr().out == first
         assert json.loads(first)["ok"] is True
+
+
+def count_calls(monkeypatch, module, attr) -> list:
+    """Count calls to module.attr through every llull module that binds it."""
+    original = getattr(module, attr)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(attr)
+        return original(*args, **kwargs)
+
+    for name, loaded in list(sys.modules.items()):
+        if name == "llull" or name.startswith("llull."):
+            for key, value in list(vars(loaded).items()):
+                if value is original:
+                    monkeypatch.setattr(loaded, key, counted)
+    return calls
+
+
+class TestSelfcheckWork:
+    def test_one_selfcheck_runs_the_pipeline_once(self, ballot_file, monkeypatch, capsys):
+        closure = count_calls(monkeypatch, llull.structure, "indirect_scores")
+        hessian = count_calls(monkeypatch, llull.zermelo, "tangent_hessian_max_eigenvalue")
+        clc = count_calls(monkeypatch, llull.structure, "check_clc")
+        projections = count_calls(monkeypatch, llull.projection, "clc_project")
+        assert main(["selfcheck", "--in", ballot_file]) == 0
+        # One tally, one reprojection, one verify_projection, three probe tallies.
+        assert (len(closure), len(hessian), len(clc), len(projections)) == (11, 4, 6, 5)
+
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_sigma_rho_order_matches_the_pair_loop(self, seed, n):
+        rng = np.random.default_rng(seed)
+        # Steps of half the 1e-9 threshold put differences on and around it.
+        rho = 0.3 + rng.integers(0, 5, size=n) * 5e-10
+        sigma = 0.6 + rng.integers(0, 5, size=n) * 5e-10
+        assert _sigma_rho_reversed(rho, sigma) == oracle_sigma_rho_reversed(rho, sigma)
 
 
 class TestOptionsAndEnvironment:

@@ -3,13 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import llull.projection
+import llull.structure
 from llull import (
     AdmissibleOrder,
     LlullMatrix,
     OptionSet,
+    ProjectionPostconditionViolatedError,
     ProjectionResult,
     check_clc,
     clc_project,
+    components,
     indirect_scores,
     verify_projection,
 )
@@ -21,12 +25,13 @@ from conftest import (
     oracle_dominance_order,
     oracle_margins,
     oracle_repaired,
+    oracle_verify_projection,
     random_matrix,
     random_profile,
     tied_matrix,
 )
 from llull import aggregate
-from llull.projection import _chain_generate, _margins, _repaired
+from llull.projection import _chain_generate, _margins, _repaired, _top_run
 from llull.structure import topological_order
 
 
@@ -120,6 +125,77 @@ class TestConstruction:
         assert np.abs(again.matrix.scores - R.matrix.scores).max() <= 1e-12
 
 
+def styled_matrix(rng, style, n):
+    if style == "random":
+        return random_matrix(rng, n)
+    if style == "tied":
+        return tied_matrix(rng, n)
+    if style == "ballots":
+        return aggregate(random_profile(rng, n))
+    return random_matrix(rng, n, zero_prob=0.6)
+
+
+STYLES = ("random", "tied", "ballots", "sparse")
+
+
+class TestTopRun:
+    """The projection reads its top dominant component off its own chain."""
+
+    @given(seed=st.integers(0, 10**6), n=st.integers(2, 13), style=st.sampled_from(STYLES))
+    @settings(max_examples=100, deadline=None)
+    def test_chain_runs_are_the_components(self, seed, n, style):
+        R = clc_project(styled_matrix(np.random.default_rng(seed), style, n))
+        if R.matrix.is_vanishing():
+            return
+        idx = R.matrix.option_set.indices(R.order.labels)
+        P = R.matrix.scores[np.ix_(idx, idx)]
+        r = _top_run(P)
+        report = components(R.matrix)
+        assert set(R.order.labels[:r]) == set(report.components[report.top_dominant])
+        cuts = [0, *(np.flatnonzero(np.diagonal(P, -1) == 0.0) + 1).tolist(), n]
+        runs = {frozenset(R.order.labels[lo:hi]) for lo, hi in zip(cuts, cuts[1:])}
+        assert runs == {frozenset(c) for c in report.components}
+
+    @pytest.mark.parametrize(
+        "lower, entry, value",
+        [
+            # All three options form the top run; row c loses its score against a.
+            ([1e-12, 0.3], (2, 0), 0.0),
+            # Only a is on top; c gains a score against it.
+            ([0.0, 0.3], (2, 0), 1e-12),
+        ],
+    )
+    def test_corrupted_chain_fails_the_certificate(self, monkeypatch, lower, entry, value):
+        a, b = np.array([0.9, 0.5]), np.array(lower)
+        M = LlullMatrix(OptionSet(letters(3)), _chain_generate(a, b))
+
+        def corrupted(a, b):
+            out = _chain_generate(a, b)
+            out[entry] = value
+            return out
+
+        monkeypatch.setattr(llull.projection, "_chain_generate", corrupted)
+        # Below check_clc's tolerance: only the certificate sees the change.
+        assert check_clc(LlullMatrix(M.option_set, corrupted(a, b)), letters(3)).ok
+        with pytest.raises(ProjectionPostconditionViolatedError, match="top run"):
+            clc_project(M)
+
+    def test_projection_computes_the_closure_once(self, monkeypatch):
+        calls = []
+        closure = llull.projection.indirect_scores
+
+        def counted(M):
+            calls.append(M.n)
+            return closure(M)
+
+        monkeypatch.setattr(llull.projection, "indirect_scores", counted)
+        monkeypatch.setattr(llull.structure, "indirect_scores", counted)
+        monkeypatch.setattr(llull.projection, "components", None)
+        R = clc_project(aggregate(random_profile(np.random.default_rng(3), 6)))
+        assert not R.matrix.is_vanishing()
+        assert calls == [6]
+
+
 class TestInternalsOracle:
     """Vectorised projection steps against their scalar-loop oracles."""
 
@@ -166,6 +242,40 @@ class TestVerifyProjection:
         checks = verify_projection(M, fake)
         assert not checks.ok
         assert any("check_clc" in issue for issue in checks.issues)
+
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(1, 9),
+        style=st.sampled_from(STYLES),
+        fake=st.sampled_from(("genuine", "order", "matrix")),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_pair_loops(self, seed, n, style, fake):
+        rng = np.random.default_rng(seed)
+        M = styled_matrix(rng, style, n)
+        R = clc_project(M)
+        shuffled = AdmissibleOrder(tuple(M.labels[i] for i in rng.permutation(n)))
+        if fake == "order":
+            R = ProjectionResult(R.matrix, shuffled, R.fixed_point)
+        elif fake == "matrix":
+            R = ProjectionResult(M, shuffled, True)
+        assert verify_projection(M, R) == oracle_verify_projection(M, R)
+
+    def test_matches_the_pair_loops_on_faked_results(self):
+        M = single_choice_matrix([0.5, 0.3, 0.2])
+        R = clc_project(M)
+        reversed_order = ProjectionResult(R.matrix, AdmissibleOrder(("c", "b", "a")), R.fixed_point)
+        cycle = LlullMatrix(
+            OptionSet(("a", "b", "c")),
+            [[0, 0.9, 0.1], [0.1, 0, 0.9], [0.9, 0.1, 0]],
+        )
+        unprojected = ProjectionResult(cycle, AdmissibleOrder(("a", "b", "c")), True)
+        for source, fake in ((M, reversed_order), (cycle, unprojected)):
+            checks = verify_projection(source, fake)
+            assert not checks.ok
+            assert checks == oracle_verify_projection(source, fake)
+        issues = verify_projection(M, reversed_order).issues
+        assert any("gap without margin" in issue for issue in issues)
 
     def test_rejects_non_clc_matrix(self):
         M = LlullMatrix(

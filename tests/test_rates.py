@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llull import (
     HypothesisNotSatisfiedError,
@@ -19,6 +21,7 @@ from llull import (
     clc_project,
     eigenvector_rates,
     fraction_like_rates,
+    mean_preference_scores,
     parse_ballots,
     solve,
     unanimous_sets,
@@ -28,9 +31,11 @@ from conftest import (
     letters,
     majority_instance,
     mixed_corpus,
+    oracle_strength_score_issues,
     planted_autonomous_profile,
     planted_unanimity_profile,
     random_profile,
+    tied_matrix,
 )
 
 
@@ -147,6 +152,21 @@ class TestCompatibility:
         checks = check_strength_score_compatibility(R, fake)
         assert not checks.ok
         assert checks.issues
+
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_pair_loop(self, seed, n):
+        rng = np.random.default_rng(seed)
+        R = clc_project(tied_matrix(rng, n))
+        # Coarse strengths with ties and zeros, in any order against the scores.
+        raw = rng.integers(0, 4, size=n).astype(float)
+        raw[rng.integers(n)] += 1.0
+        phi = raw / raw.sum()
+        fake = Strengths(R.matrix.option_set, phi, R.matrix.labels)
+        rho = mean_preference_scores(R.matrix).values if n > 1 else np.array([1.0])
+        checks = check_strength_score_compatibility(R, fake)
+        assert checks.issues == oracle_strength_score_issues(rho, fake.phi, R.matrix.labels)
+        assert checks.ok == (not checks.issues)
 
 
 class TestMajority:

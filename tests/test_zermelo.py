@@ -26,7 +26,7 @@ from llull import (
     subset_defect,
     tangent_hessian_max_eigenvalue,
 )
-from conftest import fd_gradient, letters, random_matrix
+from conftest import fd_gradient, letters, oracle_sweep_trace, random_matrix
 
 
 PAIR = LlullMatrix(OptionSet(("a", "b")), [[0, 0.6], [0.2, 0]])
@@ -128,6 +128,17 @@ class TestSolveIrreducible:
         assert all(b >= a - 1e-13 for a, b in zip(lls, lls[1:]))
         assert len(diagnostics.trace) == diagnostics.iterations + 1
 
+    def test_traced_likelihoods_match_the_sweep_bit_for_bit(self):
+        M = positive_matrix(np.random.default_rng(37), 6)
+        _, diagnostics = solve_irreducible(M, SolverConfig(record_trace=True))
+        assert diagnostics.trace == tuple(oracle_sweep_trace(M, 1e-12, 100000))
+        assert diagnostics.likelihood == diagnostics.trace[-1][2]
+        _, quiet = solve_irreducible(M)
+        assert quiet.likelihood == diagnostics.likelihood
+        with pytest.raises(MaxIterExceededError) as info:
+            solve_irreducible(M, SolverConfig(max_iter=3))
+        assert info.value.diagnostics.likelihood == oracle_sweep_trace(M, 1e-12, 3)[-1][2]
+
     def test_trace_csv_shape(self):
         rng = np.random.default_rng(31)
         M = positive_matrix(rng, 4)
@@ -179,7 +190,7 @@ class TestSolve:
         assert phi.value("a") == inner.value("a")
         assert phi.value("b") == inner.value("b")
 
-    def test_one_rating_computes_the_closure_three_times(self, monkeypatch):
+    def test_one_rating_computes_the_closure_twice(self, monkeypatch):
         calls = []
         closure = llull.structure.indirect_scores
 
@@ -193,8 +204,9 @@ class TestSolve:
         report = fraction_like_rates(M)
         assert len(report.fraction.option_set.labels) == 5
         assert report.diagnostics.iterations > 0
-        # clc_project, its postcondition's components, and solve's components.
-        assert len(calls) == 3
+        # clc_project on its input and solve's components; the projection
+        # certifies its own top component without a closure.
+        assert len(calls) == 2
 
     def test_no_top_component(self):
         scores = np.zeros((4, 4))
